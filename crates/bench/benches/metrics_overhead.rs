@@ -17,12 +17,12 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use usi_core::{UsiBuilder, UsiIndex};
 use usi_datasets::Dataset;
-use usi_server::{serve, Catalog, ServerConfig};
+use usi_server::{read_response, serve, Catalog, ServerConfig};
 
 /// Indexed letters: large enough that queries do real work.
 const N: usize = 1 << 18; // 256 Ki
@@ -57,32 +57,8 @@ fn rendered_requests(index: &UsiIndex) -> Vec<Vec<u8>> {
 /// One request/response exchange on the persistent connection.
 fn round_trip(stream: &mut TcpStream, request: &[u8], scratch: &mut Vec<u8>) {
     stream.write_all(request).unwrap();
-    scratch.clear();
-    let head_end = loop {
-        if let Some(pos) = scratch.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let mut chunk = [0u8; 4096];
-        let got = stream.read(&mut chunk).expect("response head");
-        assert!(got > 0, "server closed the connection");
-        scratch.extend_from_slice(&chunk[..got]);
-    };
-    let head = std::str::from_utf8(&scratch[..head_end]).unwrap();
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .trim()
-        .parse()
-        .unwrap();
-    let mut body_len = scratch.len() - head_end - 4;
-    while body_len < content_length {
-        let mut chunk = [0u8; 4096];
-        let got = stream.read(&mut chunk).expect("response body");
-        assert!(got > 0, "server closed mid-body");
-        body_len += got;
-    }
+    let reply = read_response(stream, scratch).expect("one whole response");
+    assert_eq!(reply.status, 200, "{}", reply.head);
 }
 
 fn bench_metrics_overhead(c: &mut Criterion) {

@@ -276,6 +276,31 @@ pub fn replay_file(path: &Path) -> Result<Replay, WalError> {
 /// split across records (replay concatenates them in order).
 const MAX_RECORD_LETTERS: usize = 1 << 20;
 
+/// Appends the record encoding of one batch of weighted letters to
+/// `out`: the bytes [`Wal::append`] writes, split into 1 Mi-letter
+/// records so every record stays replayable below the reader's payload
+/// cap.
+///
+/// # Panics
+/// Panics if `text` and `weights` lengths differ (callers validate
+/// input at the API boundary).
+pub fn encode_records(text: &[u8], weights: &[f64], out: &mut Vec<u8>) {
+    assert_eq!(text.len(), weights.len(), "one weight per appended letter");
+    out.reserve(12 + text.len() + 8 * weights.len());
+    for (text, weights) in text.chunks(MAX_RECORD_LETTERS).zip(weights.chunks(MAX_RECORD_LETTERS)) {
+        let mut payload = Vec::with_capacity(5 + text.len() + 8 * weights.len());
+        payload.push(TAG_APPEND);
+        payload.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        payload.extend_from_slice(text);
+        for &w in weights {
+            payload.extend_from_slice(&w.to_le_bytes());
+        }
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    }
+}
+
 /// An open, append-only log handle.
 ///
 /// Every [`Wal::append`] writes complete records and (with
@@ -332,39 +357,24 @@ impl Wal {
         self.len
     }
 
-    /// Appends one batch of weighted letters (split into 1 Mi-letter
-    /// records, so every record stays replayable below the reader's
-    /// payload cap), durably when the handle was opened with
-    /// `sync = true`. One
-    /// fsync covers the whole batch; `Ok` means the entire batch is on
-    /// disk, `Err` means none of it is acknowledged (a crash may still
-    /// persist a leading whole-record prefix — a valid prefix state).
+    /// Appends one batch of weighted letters, encoded by
+    /// [`encode_records`], durably when the handle was opened with
+    /// `sync = true`. One fsync covers the whole batch; `Ok` means the
+    /// entire batch is on disk, `Err` means none of it is acknowledged
+    /// (a crash may still persist a leading whole-record prefix — a
+    /// valid prefix state).
     ///
     /// # Panics
     /// Panics if `text` and `weights` lengths differ (callers validate
     /// input at the API boundary).
     pub fn append(&mut self, text: &[u8], weights: &[f64]) -> io::Result<()> {
-        assert_eq!(text.len(), weights.len(), "one weight per appended letter");
         if self.poisoned {
             return Err(io::Error::other(
                 "write-ahead log poisoned by an earlier unrecoverable write failure",
             ));
         }
-        let mut batch = Vec::with_capacity(12 + text.len() + 8 * weights.len());
-        for (text, weights) in
-            text.chunks(MAX_RECORD_LETTERS).zip(weights.chunks(MAX_RECORD_LETTERS))
-        {
-            let mut payload = Vec::with_capacity(5 + text.len() + 8 * weights.len());
-            payload.push(TAG_APPEND);
-            payload.extend_from_slice(&(text.len() as u32).to_le_bytes());
-            payload.extend_from_slice(text);
-            for &w in weights {
-                payload.extend_from_slice(&w.to_le_bytes());
-            }
-            batch.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            batch.extend_from_slice(&payload);
-            batch.extend_from_slice(&crc32(&payload).to_le_bytes());
-        }
+        let mut batch = Vec::new();
+        encode_records(text, weights, &mut batch);
         let result = self.file.write_all(&batch).and_then(|()| {
             if self.sync {
                 let started = std::time::Instant::now();

@@ -462,20 +462,14 @@ mod tests {
         IngestOptions { seal_threshold: 16, compact_fanout: 2, ..IngestOptions::default() }
     }
 
-    /// Encodes WAL records byte-identically to the primary by writing
-    /// through a real `Wal` and reading the file back.
+    /// Encodes WAL records in memory, byte-identically to the primary's
+    /// `Wal::append`.
     fn wal_bytes(records: &[(&[u8], Vec<f64>)]) -> Vec<u8> {
-        let dir = std::env::temp_dir().join("usi-repl-follow-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("enc-{}.usil", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let (mut w, _) = usi_ingest::Wal::open(&path, false).unwrap();
+        let mut bytes = Vec::new();
         for (text, weights) in records {
-            w.append(text, weights).unwrap();
+            wal::encode_records(text, weights, &mut bytes);
         }
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        bytes[wal::MAGIC.len()..].to_vec()
+        bytes
     }
 
     #[test]
@@ -536,15 +530,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         // "ship" a WAL with two records, the second torn mid-copy
-        let full = {
-            let path = dir.join("enc.usil");
-            let (mut w, _) = usi_ingest::Wal::open(&path, false).unwrap();
-            w.append(b"abcabc", &[1.0; 6]).unwrap();
-            w.append(b"cba", &[1.0; 3]).unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            let _ = std::fs::remove_file(&path);
-            bytes
-        };
+        let records = wal_bytes(&[(b"abcabc", vec![1.0; 6]), (b"cba", vec![1.0; 3])]);
+        let full = [&wal::MAGIC[..], &records].concat();
         std::fs::write(dir.join("d.usil"), &full[..full.len() - 2]).unwrap();
 
         let doc = Arc::new(FollowerDoc::new("d", base(3), opts()));

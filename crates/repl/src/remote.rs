@@ -17,13 +17,14 @@
 //! then under-counts rather than erroring, which the staleness-tolerant
 //! read path already accepts (and the error is logged).
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
 use usi_core::index::IndexSize;
 use usi_core::{QueryEngine, QuerySource, UsiQuery};
 use usi_server::json::{acc_from_json, pattern_string, utility_from_json, Json};
+use usi_server::{read_response, Reply};
 use usi_strings::{GlobalUtility, UtilityAccumulator};
 
 /// A remote shard behind the JSON HTTP API, usable anywhere a local
@@ -61,8 +62,7 @@ impl RemoteDoc {
             cached_substrings: 0,
         };
         // sizes (and target existence for "*") from the docs listing
-        let (status, body) = doc.request("GET", "/v1/docs", None)?;
-        let listing = parse_body(status, &body, "/v1/docs")?;
+        let listing = parse_body(doc.request("GET", "/v1/docs", None)?, "/v1/docs")?;
         let docs = listing
             .get("docs")
             .and_then(Json::as_array)
@@ -115,25 +115,24 @@ impl RemoteDoc {
             ("acc".into(), Json::Bool(true)),
         ])
         .encode();
-        let (status, body) = self.request("POST", "/v1/query", Some(&body))?;
-        parse_body(status, &body, "/v1/query")
+        parse_body(self.request("POST", "/v1/query", Some(&body))?, "/v1/query")
     }
 
     /// One HTTP exchange over the kept-alive connection, retried once on
     /// a fresh connection if the reused one fails mid-flight (the server
     /// may have idle-closed it between our requests).
-    fn request(&self, method: &str, path: &str, body: Option<&str>) -> io::Result<(u16, String)> {
+    fn request(&self, method: &str, path: &str, body: Option<&str>) -> io::Result<Reply> {
         let mut conn = self.conn.lock().expect("remote conn poisoned");
         let reused = conn.is_some();
         if conn.is_none() {
             *conn = Some(self.dial()?);
         }
         match exchange(conn.as_mut().expect("just dialed"), &self.addr, method, path, body) {
-            Ok((status, body, keep)) => {
-                if !keep {
+            Ok(reply) => {
+                if !reply.keep_alive {
                     *conn = None;
                 }
-                Ok((status, body))
+                Ok(reply)
             }
             Err(first) => {
                 *conn = None;
@@ -141,11 +140,11 @@ impl RemoteDoc {
                     return Err(first);
                 }
                 let mut fresh = self.dial()?;
-                let (status, body, keep) = exchange(&mut fresh, &self.addr, method, path, body)?;
-                if keep {
+                let reply = exchange(&mut fresh, &self.addr, method, path, body)?;
+                if reply.keep_alive {
                     *conn = Some(fresh);
                 }
-                Ok((status, body))
+                Ok(reply)
             }
         }
     }
@@ -268,23 +267,21 @@ fn bad(message: String) -> io::Error {
 }
 
 /// Checks the status and parses the JSON body.
-fn parse_body(status: u16, body: &str, what: &str) -> io::Result<Json> {
-    if status != 200 {
-        return Err(bad(format!("{what} returned HTTP {status}: {}", body.trim())));
+fn parse_body(reply: Reply, what: &str) -> io::Result<Json> {
+    if reply.status != 200 {
+        return Err(bad(format!("{what} returned HTTP {}: {}", reply.status, reply.body.trim())));
     }
-    Json::parse(body).map_err(|e| bad(format!("{what} returned unparseable JSON: {e}")))
+    Json::parse(&reply.body).map_err(|e| bad(format!("{what} returned unparseable JSON: {e}")))
 }
 
-/// Writes one request and reads one response on `conn`. Returns
-/// `(status, body, keep_alive)`. Responses must carry `Content-Length`
-/// (the server's always do).
+/// Writes one request on `conn` and reads its response.
 fn exchange(
     conn: &mut TcpStream,
     addr: &str,
     method: &str,
     path: &str,
     body: Option<&str>,
-) -> io::Result<(u16, String, bool)> {
+) -> io::Result<Reply> {
     let body = body.unwrap_or("");
     write!(
         conn,
@@ -293,49 +290,7 @@ fn exchange(
         body.len()
     )?;
     conn.flush()?;
-
-    let mut reader = BufReader::new(conn);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let status: u16 = line
-        .strip_prefix("HTTP/1.1 ")
-        .or_else(|| line.strip_prefix("HTTP/1.0 "))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| bad(format!("bad status line {line:?} from {addr}")))?;
-
-    let mut content_length: Option<usize> = None;
-    let mut keep_alive = true;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(bad(format!("{addr} closed mid-headers")));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = Some(
-                    value
-                        .parse()
-                        .map_err(|_| bad(format!("bad Content-Length {value:?} from {addr}")))?,
-                );
-            } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close")
-            {
-                keep_alive = false;
-            }
-        }
-    }
-    let len = content_length
-        .ok_or_else(|| bad(format!("{addr} sent no Content-Length; cannot reuse connection")))?;
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| bad(format!("{addr} sent a non-UTF-8 response body")))?;
-    Ok((status, body, keep_alive))
+    read_response(conn, &mut Vec::new())
 }
 
 #[cfg(test)]
@@ -344,66 +299,16 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::Arc;
     use usi_core::UsiBuilder;
-    use usi_server::{respond, Catalog};
+    use usi_server::{serve, Catalog, ServerConfig, ServerHandle};
     use usi_strings::WeightedString;
 
-    /// A minimal HTTP/1.1 server over `usi_server::respond`, enough for
-    /// the client under test (keep-alive, Content-Length framing).
-    fn spawn_backend(catalog: Arc<Catalog>) -> String {
+    /// Serves `catalog` with the real HTTP server on an ephemeral port,
+    /// until the returned handle drops.
+    fn spawn_backend(catalog: Arc<Catalog>) -> (ServerHandle, String) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(conn) = conn else { break };
-                let catalog = Arc::clone(&catalog);
-                std::thread::spawn(move || serve_conn(conn, &catalog));
-            }
-        });
-        addr
-    }
-
-    fn serve_conn(conn: TcpStream, catalog: &Catalog) {
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        let mut conn = conn;
-        loop {
-            let mut request_line = String::new();
-            if reader.read_line(&mut request_line).unwrap_or(0) == 0 {
-                return;
-            }
-            let mut parts = request_line.split_whitespace();
-            let method = parts.next().unwrap_or("").to_string();
-            let path = parts.next().unwrap_or("").to_string();
-            let mut content_length = 0usize;
-            loop {
-                let mut header = String::new();
-                if reader.read_line(&mut header).unwrap_or(0) == 0 {
-                    return;
-                }
-                let header = header.trim_end();
-                if header.is_empty() {
-                    break;
-                }
-                if let Some((name, value)) = header.split_once(':') {
-                    if name.eq_ignore_ascii_case("content-length") {
-                        content_length = value.trim().parse().unwrap_or(0);
-                    }
-                }
-            }
-            let mut body = vec![0u8; content_length];
-            if reader.read_exact(&mut body).is_err() {
-                return;
-            }
-            let response = respond(catalog, &method, &path, &body);
-            let payload = format!(
-                "HTTP/1.1 {} X\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
-                response.status,
-                response.body.len(),
-                response.body
-            );
-            if conn.write_all(payload.as_bytes()).is_err() {
-                return;
-            }
-        }
+        let handle = serve(catalog, listener, ServerConfig::with_workers(2)).unwrap();
+        let addr = handle.addr().to_string();
+        (handle, addr)
     }
 
     fn catalog_with(text: &[u8], id: &str) -> Arc<Catalog> {
@@ -419,7 +324,7 @@ mod tests {
     #[test]
     fn remote_doc_answers_match_the_local_index() {
         let catalog = catalog_with(b"abracadabra", "d");
-        let addr = spawn_backend(Arc::clone(&catalog));
+        let (_server, addr) = spawn_backend(Arc::clone(&catalog));
         let remote = RemoteDoc::connect(&addr, "d", Duration::from_secs(5)).unwrap();
 
         let local = catalog.get("d").unwrap();
@@ -441,7 +346,7 @@ mod tests {
     #[test]
     fn connect_fails_fast_on_missing_doc_and_dead_server() {
         let catalog = catalog_with(b"abc", "d");
-        let addr = spawn_backend(catalog);
+        let (_server, addr) = spawn_backend(catalog);
         assert!(RemoteDoc::connect(&addr, "nope", Duration::from_secs(5)).is_err());
         // a dead address: bind-then-drop guarantees nothing listens
         let dead = {
@@ -453,22 +358,19 @@ mod tests {
 
     #[test]
     fn unreachable_shard_degrades_to_empty_answers() {
-        let catalog = catalog_with(b"abc", "d");
-        let addr = spawn_backend(catalog);
-        let remote = RemoteDoc::connect(&addr, "d", Duration::from_millis(300)).unwrap();
-        // swap in a dead connection target by poisoning the cached conn:
-        // drop the backend's listener is not possible here, so instead
-        // verify the degraded path directly with a bogus remote
-        let bogus = RemoteDoc {
+        // nothing listens on port 1, so the dial and its retry both fail
+        // (a shut-down test server's port could be rebound by a parallel
+        // test)
+        let dead = RemoteDoc {
             addr: "127.0.0.1:1".into(),
             target: "d".into(),
             timeout: Duration::from_millis(200),
             conn: Mutex::new(None),
-            utility: remote.utility,
+            utility: GlobalUtility::default(),
             indexed_len: 0,
             cached_substrings: 0,
         };
-        let answers = bogus.query_accumulator_batch(&[b"ab".as_slice(), b"c"]);
+        let answers = dead.query_accumulator_batch(&[b"ab".as_slice(), b"c"]);
         assert_eq!(answers.len(), 2);
         assert_eq!(answers[0].0.count(), 0);
         assert_eq!(answers[1].0.count(), 0);

@@ -11,10 +11,12 @@
 //! | `POST /v1/docs/{id}/reload` | re-open the document's `.usix` file and atomically swap the new view in |
 //! | `POST /v1/query` | batch utilities: body `{"doc":"<id>"` or `"*","patterns":[…]}`; add `"acc":true` for raw accumulators |
 //!
-//! The implementation is deliberately small: request parsing handles
-//! exactly what the API needs (request line, headers, `Content-Length`
-//! bodies), every response carries `Content-Length`, and a fixed-size
-//! [`WorkerPool`] bounds concurrency. Shutdown is graceful:
+//! The implementation is deliberately small: [`framing::frame`] decides
+//! where each request ends (`Content-Length` bodies only, a 16 KiB head
+//! cap, 400 or 413 for anything else), request parsing handles exactly
+//! what the API needs (request line and `Connection`), every response
+//! carries `Content-Length`, and a fixed-size [`WorkerPool`] bounds
+//! concurrency. Shutdown is graceful:
 //! [`ServerHandle::shutdown`] stops the accept loop, lets queued
 //! connections finish, and joins every thread.
 //!
@@ -42,6 +44,7 @@
 //! connected clients, not requests.
 
 use crate::catalog::{AppendError, Catalog, ReloadError};
+use crate::framing::{self, frame, Frame, MAX_HEAD};
 use crate::json::{
     fan_out_acc_response_json, fan_out_response_json, query_acc_response_json, query_response_json,
     Json,
@@ -58,8 +61,6 @@ use std::time::{Duration, Instant};
 use usi_ingest::IngestError;
 use usi_obs::{FlightRecord, Span, SpanGuard, TraceId};
 
-/// Longest accepted request head (request line + headers).
-const MAX_HEAD: usize = 16 * 1024;
 /// Longest accepted request body.
 const MAX_BODY: usize = 4 * 1024 * 1024;
 /// Most patterns per `POST /v1/query` request.
@@ -331,9 +332,12 @@ impl ConnState {
 
     /// Whether the carry-over buffer already holds one complete
     /// pipelined request (head + body) — servable without reading the
-    /// socket, so the reactor must not park the connection yet.
+    /// socket, so the reactor must not park the connection yet. A
+    /// request the framer refuses counts too: serving it now yields the
+    /// error response and a close without waiting for bytes that may
+    /// never come.
     pub(crate) fn has_buffered_request(&self) -> bool {
-        has_complete_request(&self.buf)
+        !matches!(frame(&self.buf, MAX_BODY), Frame::Incomplete { .. })
     }
 }
 
@@ -666,53 +670,39 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// Whether a `Connection` header value contains `token` (the value is
-/// a comma-separated token list, compared case-insensitively).
-fn connection_has_token(value: Option<&str>, token: &str) -> bool {
-    value.is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
-}
-
-/// Reads one request (head + `Content-Length` body) from `r`, feeding
-/// and consuming the connection's carry-over buffer `buf`: bytes a
-/// pipelining client sent ahead of this request are left in `buf` for
-/// the next call, so persistent connections parse every request
-/// exactly once. The server never reads further ahead than the current
-/// head needs (1 KiB granularity), which keeps pipelined buffering
-/// bounded by `MAX_HEAD` + one chunk.
+/// Reads one request from `r`, feeding and consuming the connection's
+/// carry-over buffer `buf`. [`frame`] decides where the request ends;
+/// bytes a pipelining client sent past it stay in `buf` for the next
+/// call, so persistent connections parse every request exactly once.
+/// The head arrives in reads of at most 1 KiB, which keeps pipelined
+/// buffering bounded by `MAX_HEAD` + one chunk; a body still missing
+/// after the head is fetched with one sized read.
 fn read_request<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<Request, HttpError> {
-    // read until the blank line ending the head
-    let head_end = loop {
-        // RFC 7230 §3.5: skip CRLFs before the request line — naive
-        // clients send a trailing CRLF after a body, which would
-        // otherwise poison the next request on a persistent connection
-        while buf.starts_with(b"\r\n") {
-            buf.drain(..2);
+    let (head_end, body_len) = loop {
+        match frame(buf, MAX_BODY) {
+            Frame::Complete { head_end, body_len } => break (head_end, body_len),
+            Frame::Incomplete { body_missing } => {
+                if framing::fill(r, buf, body_missing)? == 0 {
+                    // nothing but the CRLFs allowed before a request
+                    // line: the client left between requests
+                    return Err(if buf.chunks(2).all(|pair| pair == b"\r\n") {
+                        HttpError::Io(io::ErrorKind::UnexpectedEof.into())
+                    } else {
+                        HttpError::Bad("truncated request head")
+                    });
+                }
+            }
+            Frame::Bad(why) => return Err(HttpError::Bad(why)),
+            Frame::TooLarge => return Err(HttpError::TooLarge),
         }
-        if let Some(pos) = find_head_end(buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD {
-            return Err(HttpError::TooLarge);
-        }
-        let mut chunk = [0u8; 1024];
-        let got = r.read(&mut chunk)?;
-        if got == 0 {
-            return Err(if buf.is_empty() {
-                HttpError::Io(io::ErrorKind::UnexpectedEof.into())
-            } else {
-                HttpError::Bad("truncated request head")
-            });
-        }
-        buf.extend_from_slice(&chunk[..got]);
     };
 
-    // Everything borrowed from the head is copied out before the body
-    // read below mutates `buf`.
-    let (method, path, query, content_length, close) = {
+    // Everything borrowed from the head is copied out before `buf` is
+    // drained below.
+    let (method, path, query, close) = {
         let head = std::str::from_utf8(&buf[..head_end])
             .map_err(|_| HttpError::Bad("request head is not UTF-8"))?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().unwrap_or("");
+        let (request_line, fields) = framing::head_lines(head);
         let mut parts = request_line.split(' ');
         let (method, target, version) =
             match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -724,60 +714,12 @@ fn read_request<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<Request, HttpEr
         if version != "HTTP/1.1" && version != "HTTP/1.0" {
             return Err(HttpError::Bad("unsupported HTTP version"));
         }
-
-        let mut content_length = 0usize;
-        let mut connection: Option<&str> = None;
-        for line in lines {
-            let Some((name, value)) = line.split_once(':') else { continue };
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::Bad("unparseable Content-Length"))?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                connection = Some(value.trim());
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                // only Content-Length framing is implemented; silently
-                // treating a chunked body as length 0 would let its
-                // bytes be parsed as the next pipelined request —
-                // request smuggling. Refuse loudly (the loop closes
-                // the connection after an error response).
-                return Err(HttpError::Bad("Transfer-Encoding is not supported"));
-            }
-        }
-        if content_length > MAX_BODY {
-            return Err(HttpError::TooLarge);
-        }
-        // HTTP/1.1 defaults to keep-alive unless told `close`;
-        // HTTP/1.0 defaults to close unless told `keep-alive`.
-        let close = if version == "HTTP/1.1" {
-            connection_has_token(connection, "close")
-        } else {
-            !connection_has_token(connection, "keep-alive")
-        };
-        let (path, query) = match target.split_once('?') {
-            Some((path, query)) => (path.to_string(), query.to_string()),
-            None => (target.to_string(), String::new()),
-        };
-        (method.to_string(), path, query, content_length, close)
+        let close = !framing::keep_alive(version, fields);
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        (method.to_string(), path.to_string(), query.to_string(), close)
     };
-
-    // body: whatever followed the head in the buffer, then exactly the
-    // missing bytes from the stream — never more, so pipelined bytes
-    // beyond this request stay buffered for the next call.
-    let body_start = head_end + 4;
-    let body_end = body_start + content_length;
-    if buf.len() < body_end {
-        let already = buf.len();
-        buf.resize(body_end, 0);
-        if let Err(e) = r.read_exact(&mut buf[already..]) {
-            buf.truncate(already);
-            return Err(HttpError::Io(e));
-        }
-    }
-    let body = buf[body_start..body_end].to_vec();
-    buf.drain(..body_end);
+    let body = buf[head_end..head_end + body_len].to_vec();
+    buf.drain(..head_end + body_len);
     // a large body grows the carry-over buffer up to MAX_BODY; don't
     // pin that per connection for the rest of its lifetime
     if buf.capacity() > MAX_HEAD {
@@ -785,39 +727,6 @@ fn read_request<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<Request, HttpEr
     }
 
     Ok(Request { method, path, query, body, close })
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-/// Whether `buf` already holds one complete request — the reactor's
-/// "serve now vs re-arm" test, mirroring [`read_request`]'s framing
-/// (leading-CRLF skip, head, `Content-Length` body) without consuming
-/// anything. Unparseable heads count as complete: serving them now
-/// yields the error response and a close without waiting for bytes
-/// that may never come.
-fn has_complete_request(buf: &[u8]) -> bool {
-    let mut b = buf;
-    while b.starts_with(b"\r\n") {
-        b = &b[2..];
-    }
-    let Some(head_end) = find_head_end(b) else {
-        // an over-long head is "complete": it parses to 413 right away
-        return b.len() > MAX_HEAD;
-    };
-    let mut content_length = 0usize;
-    for line in b[..head_end].split(|&byte| byte == b'\n') {
-        let Some(colon) = line.iter().position(|&byte| byte == b':') else { continue };
-        if line[..colon].trim_ascii().eq_ignore_ascii_case(b"content-length") {
-            match std::str::from_utf8(&line[colon + 1..]).map(|v| v.trim().parse::<usize>()) {
-                Ok(Ok(length)) if length <= MAX_BODY => content_length = length,
-                // bad or oversized length: parses straight to an error
-                _ => return true,
-            }
-        }
-    }
-    b.len() >= head_end + 4 + content_length
 }
 
 /// A response about to be written: status, content type and body.
@@ -1344,6 +1253,11 @@ fn serialized(build: impl FnOnce() -> Response) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::read_response;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
     use usi_core::UsiBuilder;
     use usi_strings::WeightedString;
 
@@ -1442,8 +1356,9 @@ mod tests {
 
     #[test]
     fn rejects_malformed_requests() {
-        // bare CRLFs then EOF: the leading-CRLF skip empties the buffer,
-        // so this reads as a clean client departure, not a bad request
+        // bare CRLFs then EOF: only the CRLFs allowed before a request
+        // line, so this reads as a clean client departure, not a bad
+        // request
         assert!(matches!(parse_bytes(b"\r\n\r\n"), Err(HttpError::Io(_))));
         assert!(matches!(parse_bytes(b"GET\r\n\r\n"), Err(HttpError::Bad(_))));
         assert!(matches!(parse_bytes(b"GET /x SPDY/9\r\n\r\n"), Err(HttpError::Bad(_))));
@@ -1455,6 +1370,28 @@ mod tests {
         assert!(matches!(parse_bytes(b""), Err(HttpError::Io(_))));
         let huge = format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
         assert!(matches!(parse_bytes(huge.as_bytes()), Err(HttpError::TooLarge)));
+    }
+
+    #[test]
+    fn ambiguous_framing_is_refused() {
+        // a proxy that frames these differently would disagree with
+        // this server on where the request ends (request smuggling)
+        let ambiguous: [&[u8]; 5] = [
+            // RFC 9110 §8.6: Content-Length is 1*DIGIT, no sign
+            b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+            // either length leaves other bytes for the next request
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 2\r\n\r\n{}GET",
+            // RFC 9112 §5.1: no whitespace between a name and its colon
+            b"POST /x HTTP/1.1\r\nContent-Length : 2\r\n\r\n{}",
+            // RFC 9112 §2.2: a bare LF or CR may or may not end a line,
+            // hiding or showing the Content-Length after it
+            b"GET /x HTTP/1.1\r\nX: a\nContent-Length: 3\r\n\r\nabc",
+            b"GET /x HTTP/1.1\r\nX: a\rContent-Length: 3\r\n\r\nabc",
+        ];
+        for bytes in ambiguous {
+            let parsed = parse_bytes(bytes);
+            assert!(matches!(parsed, Err(HttpError::Bad(_))), "{parsed:?}");
+        }
     }
 
     #[test]
@@ -1677,12 +1614,140 @@ mod tests {
 
         let mut out = Vec::new();
         write_response(&mut out, &response, true, "X-Request-Id: 00ff00ff00ff00ff\r\n").unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Connection: keep-alive\r\n"));
+        let reply = read_response(&mut &out[..], &mut Vec::new()).unwrap();
+        assert!(reply.keep_alive);
+        assert_eq!(reply.header("Connection"), Some("keep-alive"));
         // extra headers land inside the head, before the blank line
-        assert!(text.contains("X-Request-Id: 00ff00ff00ff00ff\r\n"), "{text}");
-        let head_end = text.find("\r\n\r\n").unwrap();
-        assert!(text.find("X-Request-Id").unwrap() < head_end, "{text}");
+        assert_eq!(reply.header("X-Request-Id"), Some("00ff00ff00ff00ff"), "{}", reply.head);
+        assert_eq!(reply.body, "{}");
+    }
+
+    /// A reader that hands its bytes out in random-sized pieces, as a
+    /// socket may.
+    struct Trickle<'b> {
+        bytes: &'b [u8],
+        rng: StdRng,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.rng.gen_range(1..=700usize).min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// A random request as the server must parse it, and its bytes on
+    /// the wire (sometimes behind a stray CRLF, which RFC 9112 §2.2 lets
+    /// a client send between requests).
+    fn random_request(rng: &mut StdRng) -> (Request, Vec<u8>) {
+        let method = ["GET", "POST", "PUT", "DELETE"][rng.gen_range(0..4)];
+        let path = format!("/v1/docs/{}", rng.gen_range(0..1000u32));
+        let query = if rng.gen_bool(0.5) {
+            format!("limit={}", rng.gen_range(0..100u32))
+        } else {
+            "".into()
+        };
+        let http10 = rng.gen_bool(0.25);
+        let tokens = ["close", "Close", "keep-alive", "Keep-Alive", "upgrade"];
+        let connection: Vec<&str> =
+            (0..rng.gen_range(0..3)).map(|_| tokens[rng.gen_range(0..tokens.len())]).collect();
+        let body: Vec<u8> = (0..rng.gen_range(0..=2048)).map(|_| rng.gen::<u8>()).collect();
+
+        let mut fields: Vec<String> = (0..rng.gen_range(0..=3))
+            .map(|i| format!("X-Extra-{i}: {}", rng.gen_range(0..1_000_000u32)))
+            .collect();
+        if !connection.is_empty() {
+            fields.push(format!("Connection: {}", connection.join(", ")));
+        }
+        if !body.is_empty() || rng.gen_bool(0.5) {
+            fields.push(format!("Content-Length: {}", body.len()));
+        }
+        fields.shuffle(rng);
+        let target = if query.is_empty() { path.clone() } else { format!("{path}?{query}") };
+        let version = if http10 { "HTTP/1.0" } else { "HTTP/1.1" };
+        let mut head = if rng.gen_bool(0.2) { "\r\n".to_string() } else { String::new() };
+        head += &format!("{method} {target} {version}\r\n");
+        for field in &fields {
+            head += &format!("{field}\r\n");
+        }
+        head += "\r\n";
+
+        let listed = |token: &str| connection.iter().any(|t| t.eq_ignore_ascii_case(token));
+        let close = if http10 { !listed("keep-alive") } else { listed("close") };
+        let wire = [head.as_bytes(), &body].concat();
+        (Request { method: method.into(), path, query, body, close }, wire)
+    }
+
+    proptest! {
+        #[test]
+        fn server_reader_framer_and_client_reader_agree(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (requests, wires): (Vec<Request>, Vec<Vec<u8>>) =
+                (0..rng.gen_range(1..=4)).map(|_| random_request(&mut rng)).unzip();
+
+            // the framer: Incomplete on every strict prefix of a request,
+            // Complete exactly at its end
+            for wire in &wires {
+                for cut in 0..wire.len() {
+                    let framed = frame(&wire[..cut], MAX_BODY);
+                    prop_assert!(matches!(framed, Frame::Incomplete { .. }), "{cut}: {framed:?}");
+                }
+                let framed = frame(wire, MAX_BODY);
+                prop_assert!(
+                    matches!(framed, Frame::Complete { head_end, body_len }
+                        if head_end + body_len == wire.len()),
+                    "{framed:?}"
+                );
+            }
+
+            // the server reader: the same requests in order, from one
+            // stream read in random-sized pieces
+            let stream = wires.concat();
+            let mut reader = Trickle { bytes: &stream, rng: StdRng::seed_from_u64(!seed) };
+            let mut buf = Vec::new();
+            for want in &requests {
+                let got = read_request(&mut reader, &mut buf);
+                prop_assert!(got.is_ok(), "{got:?}");
+                let got = got.unwrap();
+                prop_assert_eq!(
+                    (&got.method, &got.path, &got.query, &got.body, got.close),
+                    (&want.method, &want.path, &want.query, &want.body, want.close)
+                );
+            }
+            prop_assert!(matches!(read_request(&mut reader, &mut buf), Err(HttpError::Io(_))));
+
+            // the client reader on the server's writer, responses
+            // back to back on one connection
+            let statuses = [200u16, 400, 404, 405, 409, 413, 500, 503];
+            let letters = ['a', '{', '"', ' ', 'é', '→', '\n'];
+            let sent: Vec<(Response, bool)> = (0..rng.gen_range(1..=4))
+                .map(|_| {
+                    let status = statuses[rng.gen_range(0..statuses.len())];
+                    let body = (0..rng.gen_range(0..=2048))
+                        .map(|_| letters[rng.gen_range(0..letters.len())])
+                        .collect();
+                    (Response { status, content_type: APPLICATION_JSON, body }, rng.gen_bool(0.5))
+                })
+                .collect();
+            let mut wire = Vec::new();
+            for (response, keep_alive) in &sent {
+                write_response(&mut wire, response, *keep_alive, "X-Request-Id: 0123\r\n").unwrap();
+            }
+            let mut reader = Trickle { bytes: &wire, rng: StdRng::seed_from_u64(seed ^ 1) };
+            let mut buf = Vec::new();
+            for (response, keep_alive) in &sent {
+                let reply = read_response(&mut reader, &mut buf);
+                prop_assert!(reply.is_ok(), "{reply:?}");
+                let reply = reply.unwrap();
+                prop_assert_eq!(
+                    (reply.status, &reply.body, reply.keep_alive),
+                    (response.status, &response.body, *keep_alive)
+                );
+            }
+            prop_assert!(buf.is_empty());
+        }
     }
 
     #[test]
@@ -1828,33 +1893,10 @@ mod tests {
         assert!(TcpListener::bind(addr).is_ok());
     }
 
-    /// Reads exactly one `Content-Length`-framed response off `stream`,
-    /// returning `(head, body)` — the keep-alive framing a persistent
-    /// client must use instead of read-to-EOF.
+    /// Reads one response off a kept-alive `stream`: `(head, body)`.
     fn read_one_response(stream: &mut TcpStream) -> (String, String) {
-        let mut bytes = Vec::new();
-        let head_end = loop {
-            if let Some(pos) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            let mut chunk = [0u8; 512];
-            let got = stream.read(&mut chunk).expect("response head");
-            assert!(got > 0, "server closed mid-head: {:?}", String::from_utf8_lossy(&bytes));
-            bytes.extend_from_slice(&chunk[..got]);
-        };
-        let head = String::from_utf8(bytes[..head_end].to_vec()).unwrap();
-        let content_length: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .expect("Content-Length header")
-            .trim()
-            .parse()
-            .unwrap();
-        let mut body = bytes[head_end + 4..].to_vec();
-        let already = body.len();
-        body.resize(content_length, 0);
-        stream.read_exact(&mut body[already..]).expect("response body");
-        (head, String::from_utf8(body).unwrap())
+        let reply = read_response(stream, &mut Vec::new()).expect("one whole response");
+        (reply.head, reply.body)
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   end-to-end tests;
 //! * [`http`] / [`pool`] — a minimal HTTP/1.1 front end on
 //!   `std::net::TcpListener` with a fixed-size worker pool and graceful
-//!   shutdown.
+//!   shutdown; [`framing`] decides where each message ends, for the
+//!   server and for the blocking client reader [`read_response`].
 //!
 //! ```no_run
 //! use std::net::TcpListener;
@@ -31,6 +32,7 @@
 //! ```
 
 pub mod catalog;
+pub mod framing;
 pub mod http;
 pub mod json;
 pub(crate) mod metrics;
@@ -41,6 +43,7 @@ pub use catalog::{
     AppendError, Catalog, CatalogError, Doc, FanOut, LoadOptions, ReloadError, ReplicationStatus,
     Role,
 };
+pub use framing::{read_response, Reply};
 pub use http::{respond, serve, AccessLog, Response, ServerConfig, ServerHandle};
 pub use json::{Json, JsonError};
 pub use pool::WorkerPool;

@@ -21,8 +21,6 @@
 //! * [`search`] — pattern location over the suffix array;
 //! * [`sparse`] — sparse suffix/LCP arrays over sampled positions, built
 //!   with LCE comparisons (Section VI, Step 2);
-//! * [`ukkonen`] — an online (appendable) suffix tree for the dynamic
-//!   extension of Section X;
 //! * [`naive`] — quadratic reference implementations used by tests.
 
 pub mod esa;
@@ -35,7 +33,6 @@ pub mod rmq;
 pub mod sais;
 pub mod search;
 pub mod sparse;
-pub mod ukkonen;
 
 pub use esa::{lcp_intervals, LcpInterval};
 pub use interval_tree::EsaSearcher;
@@ -46,4 +43,3 @@ pub use rmq::SparseTableRmq;
 pub use sais::{suffix_array, suffix_array_induced_threads, suffix_array_ints};
 pub use search::{SaAccess, SuffixArraySearcher};
 pub use sparse::{sparse_suffix_array, SparseIndex};
-pub use ukkonen::SuffixTree;

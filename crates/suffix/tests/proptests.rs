@@ -6,7 +6,7 @@ use usi_suffix::naive::{lcp_array_naive, occurrences_naive, suffix_array_naive};
 use usi_suffix::{
     lcp_array, lcp_array_threads, lcp_intervals, sparse_suffix_array, suffix_array,
     suffix_array_induced_threads, suffix_array_sharded, suffix_array_threads, EsaSearcher,
-    FingerprintLce, LceOracle, NaiveLce, RmqLce, SuffixArraySearcher, SuffixTree,
+    FingerprintLce, LceOracle, NaiveLce, RmqLce, SuffixArraySearcher,
 };
 
 fn text_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -104,13 +104,6 @@ proptest! {
         for w in idx.ssa.windows(2) {
             prop_assert!(text[w[0] as usize..] < text[w[1] as usize..]);
         }
-    }
-
-    #[test]
-    fn suffix_tree_counts_match_naive(text in text_strategy(80), pat in text_strategy(4)) {
-        prop_assume!(!pat.is_empty());
-        let st = SuffixTree::from_text(&text);
-        prop_assert_eq!(st.count(&pat), occurrences_naive(&text, &pat).len());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`usi_strings`] | weighted strings, Karp–Rabin fingerprints, utility functions, `PSW` |
-//! | [`usi_suffix`] | SA-IS, LCP, RMQ, LCE oracles, lcp-intervals, sparse suffix arrays, Ukkonen |
+//! | [`usi_suffix`] | SA-IS, LCP, RMQ, LCE oracles, lcp-intervals, sparse suffix arrays |
 //! | [`usi_core`] | the top-K oracle, Exact/Approximate-Top-K, the `USI_TOP-K` index, metrics |
 //! | [`usi_streams`] | Misra–Gries, SpaceSaving, count-min, HeavyKeeper, SubstringHK, Top-K Trie |
 //! | [`usi_baselines`] | the BSL1–BSL4 query baselines |

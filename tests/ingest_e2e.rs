@@ -10,7 +10,7 @@ use std::sync::Arc;
 use usi::ingest::{replay_file, IngestConfig, IngestPipeline};
 use usi::prelude::*;
 use usi::server::json::Json;
-use usi::server::serve;
+use usi::server::{read_response, serve};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,15 +39,16 @@ fn build_base(seed: u64, n: usize) -> (UsiIndex, Vec<u8>, Vec<f64>) {
     (index, text, weights)
 }
 
-/// One blocking HTTP exchange; returns (status, body).
+/// One blocking HTTP exchange on a fresh `Connection: close`
+/// connection; returns (status, body).
 fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to test server");
     stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    (status, body.to_string())
+    let reply = read_response(&mut stream, &mut Vec::new()).expect("complete response");
+    // the server closes only after recording the request's metrics and
+    // trace, so waiting for EOF lets the next request see them
+    assert_eq!(stream.read(&mut [0; 1]).unwrap(), 0, "EOF after the response");
+    (reply.status, reply.body)
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {

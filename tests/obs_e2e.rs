@@ -14,7 +14,7 @@ use std::sync::Arc;
 use usi::ingest::{IngestConfig, IngestPipeline};
 use usi::prelude::*;
 use usi::server::json::Json;
-use usi::server::{serve, AccessLog};
+use usi::server::{read_response, serve, AccessLog, Reply};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,29 +26,22 @@ fn sample_index(seed: u64, n: usize) -> UsiIndex {
     UsiBuilder::new().with_k(25).deterministic(seed).build(ws)
 }
 
-/// One blocking HTTP exchange; returns (status, head, body).
-fn exchange_full(addr: SocketAddr, request: &str) -> (u16, String, String) {
+/// One blocking HTTP exchange on a fresh `Connection: close`
+/// connection.
+fn exchange_full(addr: SocketAddr, request: &str) -> Reply {
     let mut stream = TcpStream::connect(addr).expect("connect to test server");
     stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    (status, head.to_string(), body.to_string())
+    let reply = read_response(&mut stream, &mut Vec::new()).expect("complete response");
+    // the server closes only after recording the request's metrics and
+    // trace, so waiting for EOF lets the next request see them
+    assert_eq!(stream.read(&mut [0; 1]).unwrap(), 0, "EOF after the response");
+    reply
 }
 
 /// One blocking HTTP exchange; returns (status, body).
 fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
-    let (status, _, body) = exchange_full(addr, request);
-    (status, body)
-}
-
-/// The value of a response header (case-insensitive name).
-fn header(head: &str, name: &str) -> Option<String> {
-    head.lines().find_map(|line| {
-        let (k, v) = line.split_once(':')?;
-        k.eq_ignore_ascii_case(name).then(|| v.trim().to_string())
-    })
+    let reply = exchange_full(addr, request);
+    (reply.status, reply.body)
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -240,25 +233,25 @@ fn request_ids_correlate_trace_flight_and_headers() {
     let addr = handle.addr();
 
     let body = r#"{"doc":"tracy","patterns":["ab","ba"]}"#;
-    let (status, head, _) = exchange_full(
+    let reply = exchange_full(
         addr,
         &format!(
             "POST /v1/query HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         ),
     );
-    assert_eq!(status, 200);
-    let id = header(&head, "X-Request-Id").expect("every response carries X-Request-Id");
+    assert_eq!(reply.status, 200);
+    let id = reply.header("X-Request-Id").expect("every response carries X-Request-Id");
     assert_eq!(id.len(), 16, "ids are 16 hex digits: {id}");
     assert!(id.bytes().all(|b| b.is_ascii_hexdigit()), "hex id: {id}");
-    let timing = header(&head, "Server-Timing").expect("routed responses carry Server-Timing");
+    let timing = reply.header("Server-Timing").expect("routed responses carry Server-Timing");
     assert!(timing.contains("engine;dur="), "Server-Timing lists stages: {timing}");
 
     // ---- /v1/trace/{id}: the request's full stage tree -----------------
     let (status, body) = get(addr, &format!("/v1/trace/{id}"));
     assert_eq!(status, 200, "{body}");
     let parsed = Json::parse(&body).unwrap();
-    assert_eq!(parsed.get("trace_id").and_then(Json::as_str), Some(&*id));
+    assert_eq!(parsed.get("trace_id").and_then(Json::as_str), Some(id));
     let root = parsed.get("root").expect("tree has a root span");
     assert_eq!(root.get("name").and_then(Json::as_str), Some("http.request"));
     let root_us = root.get("duration_us").and_then(Json::as_f64).expect("root duration");
@@ -284,20 +277,20 @@ fn request_ids_correlate_trace_flight_and_headers() {
     let parsed = Json::parse(&body).unwrap();
     let requests = parsed.get("requests").and_then(Json::as_array).expect("requests array");
     assert!(
-        requests.iter().any(|r| r.get("trace_id").and_then(Json::as_str) == Some(&*id)),
+        requests.iter().any(|r| r.get("trace_id").and_then(Json::as_str) == Some(id)),
         "flight recorder must hold {id}: {body}"
     );
 
     // an induced 404 is always captured (status >= 400), filterable by id
-    let (status, head, _) = exchange_full(
+    let reply = exchange_full(
         addr,
         "GET /v1/definitely-not-a-route HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
     );
-    assert_eq!(status, 404);
-    let err_id = header(&head, "X-Request-Id").expect("errors carry ids too");
+    assert_eq!(reply.status, 404);
+    let err_id = reply.header("X-Request-Id").expect("errors carry ids too");
     assert_ne!(err_id, id, "ids are unique per request");
     let (_, body) = get(addr, "/debug/requests");
-    assert!(body.contains(&err_id), "404 {err_id} must reach the flight recorder: {body}");
+    assert!(body.contains(err_id), "404 {err_id} must reach the flight recorder: {body}");
 
     // ---- /metrics: queue-wait histogram and both drop counters ---------
     let (status, metrics) = get(addr, "/metrics");
@@ -378,10 +371,10 @@ fn access_log_lines_carry_the_request_id() {
         }
     };
 
-    let (status, head, _) =
+    let reply =
         exchange_full(addr, "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-    assert_eq!(status, 200);
-    let id = header(&head, "X-Request-Id").expect("X-Request-Id over the wire");
+    assert_eq!(reply.status, 200);
+    let id = reply.header("X-Request-Id").expect("X-Request-Id over the wire");
 
     drop(stdin); // EOF → graceful shutdown flushes the logs
     let mut rest = String::new();

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use usi::prelude::*;
 use usi::server::json::Json;
-use usi::server::{serve, Catalog, ServerConfig, ServerHandle};
+use usi::server::{read_response, serve, Catalog, ServerConfig, ServerHandle};
 
 fn catalog() -> Arc<Catalog> {
     let catalog = Catalog::new(2);
@@ -41,30 +41,8 @@ fn keep_alive_get(stream: &mut TcpStream, addr: SocketAddr, path: &str) -> (u16,
 }
 
 fn read_framed_response(stream: &mut TcpStream) -> (u16, String) {
-    let mut bytes = Vec::new();
-    let head_end = loop {
-        if let Some(pos) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let mut chunk = [0u8; 512];
-        let got = stream.read(&mut chunk).expect("response head");
-        assert!(got > 0, "server closed mid-head: {:?}", String::from_utf8_lossy(&bytes));
-        bytes.extend_from_slice(&chunk[..got]);
-    };
-    let head = String::from_utf8(bytes[..head_end].to_vec()).unwrap();
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .trim()
-        .parse()
-        .unwrap();
-    let mut body = bytes[head_end + 4..].to_vec();
-    let already = body.len();
-    body.resize(content_length, 0);
-    stream.read_exact(&mut body[already..]).expect("response body");
-    (status, String::from_utf8(body).unwrap())
+    let reply = read_response(stream, &mut Vec::new()).expect("complete response");
+    (reply.status, reply.body)
 }
 
 /// Polls `probe` until it returns true or the deadline passes.
@@ -174,10 +152,11 @@ fn over_capacity_connects_get_503_with_the_uniform_error_body() {
 
     // third connect: answered 503 and closed without entering the set
     let mut third = TcpStream::connect(addr).unwrap();
-    let mut response = String::new();
+    let mut response = Vec::new();
     third.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    third.read_to_string(&mut response).expect("503 then EOF");
-    let (head, body) = response.split_once("\r\n\r\n").expect("complete response");
+    third.read_to_end(&mut response).expect("503 then EOF");
+    let reply = read_response(&mut &response[..], &mut Vec::new()).expect("complete response");
+    let (head, body) = (reply.head.as_str(), reply.body.as_str());
     assert!(head.starts_with("HTTP/1.1 503"), "{head}");
     assert!(head.contains("Connection: close"), "{head}");
     let parsed = Json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));

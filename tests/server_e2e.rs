@@ -10,7 +10,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use usi::prelude::*;
 use usi::server::json::{fan_out_response_json, query_response_json, Json};
-use usi::server::{serve, FanOut};
+use usi::server::{read_response, serve, FanOut};
 use usi::strings::UtilityAccumulator;
 
 use rand::rngs::StdRng;
@@ -24,15 +24,16 @@ fn sample_index(seed: u64, n: usize) -> UsiIndex {
     UsiBuilder::new().with_k(80).deterministic(seed).build(ws)
 }
 
-/// One blocking HTTP exchange; returns (status, body).
+/// One blocking HTTP exchange on a fresh `Connection: close`
+/// connection; returns (status, body).
 fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to test server");
     stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    (status, body.to_string())
+    let reply = read_response(&mut stream, &mut Vec::new()).expect("complete response");
+    // the server closes only after recording the request's metrics and
+    // trace, so waiting for EOF lets the next request see them
+    assert_eq!(stream.read(&mut [0; 1]).unwrap(), 0, "EOF after the response");
+    (reply.status, reply.body)
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -50,34 +51,11 @@ fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
     )
 }
 
-/// Reads one `Content-Length`-framed response from a persistent
-/// connection (a keep-alive client cannot read to EOF).
+/// Reads one response from a persistent connection: (status, body,
+/// keep-alive).
 fn read_framed_response(stream: &mut TcpStream) -> (u16, String, bool) {
-    let mut bytes = Vec::new();
-    let head_end = loop {
-        if let Some(pos) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let mut chunk = [0u8; 512];
-        let got = stream.read(&mut chunk).expect("response head");
-        assert!(got > 0, "server closed mid-head: {:?}", String::from_utf8_lossy(&bytes));
-        bytes.extend_from_slice(&chunk[..got]);
-    };
-    let head = String::from_utf8(bytes[..head_end].to_vec()).unwrap();
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .trim()
-        .parse()
-        .unwrap();
-    let keep_alive = head.contains("Connection: keep-alive");
-    let mut body = bytes[head_end + 4..].to_vec();
-    let already = body.len();
-    body.resize(content_length, 0);
-    stream.read_exact(&mut body[already..]).expect("response body");
-    (status, String::from_utf8(body).unwrap(), keep_alive)
+    let reply = read_response(stream, &mut Vec::new()).expect("complete response");
+    (reply.status, reply.body, reply.keep_alive)
 }
 
 fn query_body(doc: &str, patterns: &[&[u8]]) -> String {
