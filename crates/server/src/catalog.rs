@@ -17,14 +17,21 @@
 //! Query surface:
 //!
 //! * [`Catalog::query`] / [`Catalog::query_batch`] — one document,
-//!   routed by id; batches are spread over `std::thread::scope` workers
-//!   in contiguous chunks (answers stay in pattern order).
+//!   routed by id;
 //! * [`Catalog::query_all`] / [`Catalog::query_all_batch`] — fan-out: a
 //!   pattern's utility on every loaded document, plus the merged
 //!   accumulator across documents (the whole-corpus answer), combined
 //!   through the shared [`usi_core::merge`] helper — the same
 //!   implementation the ingestion layer uses to merge per-segment
 //!   answers.
+//!
+//! Both run a batch inline on the caller's thread unless it holds at
+//! least `MIN_LOOKUPS_PER_THREAD` (320) lookups — patterns × documents
+//! — per thread; larger batches spread over up to `threads`
+//! `std::thread::scope` workers in contiguous chunks, and answers stay
+//! in pattern order. A fan-out that includes an engine-backed document
+//! (a remote shard, a follower) always spreads across documents, since
+//! each may wait on a network round trip.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -56,6 +63,46 @@ pub struct LoadOptions {
 /// short and answers are `Copy`, so this costs a few tens of KiB per
 /// hot document.
 const PATTERN_CACHE_CAPACITY: usize = 1024;
+
+/// Lookups (patterns × documents) each thread of a spread query batch
+/// must get; smaller batches run inline on the caller's thread.
+///
+/// Measured on a 2-vCPU VM: spawning and joining one scoped thread
+/// costs about 35–48 µs, while one lookup costs 0.3–0.6 µs on the `H`
+/// path and 0.8–6.5 µs on the SA path. Two threads beat one only once
+/// the half of the batch they save outweighs two spawns, so a batch of
+/// the cheapest lookups (0.3 µs) needs 2 × 48 / 0.3 = 320 per thread.
+/// A 4-document × 8-pattern fan-out (32 lookups) stays inline; a
+/// 1000-pattern batch still spreads.
+const MIN_LOOKUPS_PER_THREAD: usize = 320;
+
+/// How many threads a query batch of `lookups` spreads over: at most
+/// `threads`, and only as many as get [`MIN_LOOKUPS_PER_THREAD`] each.
+/// `1` means run inline.
+fn query_parts(threads: usize, lookups: usize) -> usize {
+    threads.min(lookups / MIN_LOOKUPS_PER_THREAD).max(1)
+}
+
+/// The one batch executor: runs `work` over `items` in up to `parts`
+/// contiguous chunks and concatenates the answers in item order. One
+/// part runs inline on the caller's thread; more spawn one scoped thread
+/// per chunk.
+fn run_in_parts<T: Sync, R: Send>(
+    items: &[T],
+    parts: usize,
+    work: impl Fn(&[T]) -> Vec<R> + Sync,
+) -> Vec<R> {
+    if parts.min(items.len()) <= 1 {
+        return work(items);
+    }
+    let chunk = items.len().div_ceil(parts);
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            items.chunks(chunk).map(|part| scope.spawn(move || work(part))).collect();
+        handles.into_iter().flat_map(|h| h.join().expect("batch worker panicked")).collect()
+    })
+}
 
 /// What answers a document's queries.
 enum Backend {
@@ -322,24 +369,15 @@ impl Doc {
     }
 
     /// Computes answers for `patterns` straight from the backend,
-    /// bypassing the cache. Both backends spread the batch over up to
-    /// `threads` scoped workers in contiguous chunks — a pipeline's
-    /// state lock is a read-write lock, so concurrent chunk readers
-    /// don't exclude each other.
+    /// bypassing the cache. The batch runs inline unless it holds
+    /// [`MIN_LOOKUPS_PER_THREAD`] patterns per thread; then it spreads
+    /// over up to `threads` scoped workers in contiguous chunks — a
+    /// pipeline's state lock is a read-write lock, so concurrent chunk
+    /// readers don't exclude each other.
     fn compute_batch(&self, patterns: &[&[u8]], threads: usize) -> Vec<UsiQuery> {
-        let run = |part: &[&[u8]]| self.engine().query_batch(part);
-        let threads = threads.max(1).min(patterns.len().max(1));
-        if threads == 1 {
-            return run(patterns);
-        }
-        let chunk = patterns.len().div_ceil(threads);
-        let answers: Vec<Vec<UsiQuery>> = std::thread::scope(|scope| {
-            let run = &run;
-            let handles: Vec<_> =
-                patterns.chunks(chunk).map(|part| scope.spawn(move || run(part))).collect();
-            handles.into_iter().map(|h| h.join().expect("query worker panicked")).collect()
-        });
-        answers.into_iter().flatten().collect()
+        run_in_parts(patterns, query_parts(threads, patterns.len()), |part| {
+            self.engine().query_batch(part)
+        })
     }
 
     /// Answers one pattern through the cache.
@@ -348,8 +386,9 @@ impl Doc {
     }
 
     /// Answers a pattern batch through the cache: cached patterns are
-    /// served from the LRU, the misses go to the backend (threaded),
-    /// and fresh answers are inserted unless an append invalidated the
+    /// served from the LRU, the misses go to the backend (see
+    /// [`Catalog::query_batch`] for when they spread over threads), and
+    /// fresh answers are inserted unless an append invalidated the
     /// document meanwhile. Answers are in pattern order and identical
     /// to computing each pattern directly.
     pub fn query_batch(&self, patterns: &[&[u8]], threads: usize) -> Vec<UsiQuery> {
@@ -715,27 +754,10 @@ impl Catalog {
             .filter(|p| p.extension().is_some_and(|ext| ext == "usix") && p.is_file())
             .collect();
         files.sort();
-        let threads = threads.max(1).min(files.len().max(1));
-        let parsed: Vec<Result<(String, UsiIndex), CatalogError>> = if threads == 1 {
-            files.iter().map(|file| Self::parse_usix(file, opts.mmap)).collect()
-        } else {
-            let chunk = files.len().div_ceil(threads);
-            let parts: Vec<Vec<Result<(String, UsiIndex), CatalogError>>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = files
-                        .chunks(chunk)
-                        .map(|part| {
-                            scope.spawn(move || {
-                                part.iter()
-                                    .map(|file| Self::parse_usix(file, opts.mmap))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("load worker panicked")).collect()
-                });
-            parts.into_iter().flatten().collect()
-        };
+        // a file parse costs far more than a spawn: always spread
+        let parsed = run_in_parts(&files, threads, |part| {
+            part.iter().map(|file| Self::parse_usix(file, opts.mmap)).collect()
+        });
         // first error in file order wins; register nothing on failure
         let mut docs = Vec::with_capacity(parsed.len());
         for result in parsed {
@@ -794,10 +816,10 @@ impl Catalog {
         self.get(id).map(|doc| doc.query(pattern))
     }
 
-    /// Batch-queries one document, spreading cache misses over up to
-    /// `threads` scoped workers in contiguous chunks. Answers are in
-    /// pattern order and identical to the serial loop. `None` if the id
-    /// is not loaded.
+    /// Batch-queries one document. Cache misses run inline, or spread
+    /// over up to `threads` scoped workers in contiguous chunks once
+    /// there are 320 per thread. Answers are in pattern order and
+    /// identical to the serial loop. `None` if the id is not loaded.
     pub fn query_batch(
         &self,
         id: &str,
@@ -814,9 +836,12 @@ impl Catalog {
         self.fan_out_batch(&[pattern], 1).pop().expect("one pattern in, one fan-out")
     }
 
-    /// Batch fan-out: each pattern against every loaded document, the
-    /// documents spread over up to `threads` scoped workers. One
-    /// [`FanOut`] per pattern, in pattern order.
+    /// Batch fan-out: each pattern against every loaded document. The
+    /// documents spread over up to `threads` scoped workers when the
+    /// batch holds 320 lookups (patterns × documents) per thread, or
+    /// always when an engine-backed document (a remote shard, a
+    /// follower) takes part, since each may wait on a network round
+    /// trip. One [`FanOut`] per pattern, in pattern order.
     pub fn query_all_batch(&self, patterns: &[&[u8]], threads: usize) -> Vec<FanOut> {
         self.fan_out_batch(patterns, threads)
     }
@@ -825,31 +850,15 @@ impl Catalog {
         let engine_start = Instant::now();
         let docs = self.docs();
         crate::metrics::server().fan_out_width.observe(docs.len() as f64);
-        let threads = threads.max(1).min(docs.len().max(1));
-        // per document: the raw accumulators for every pattern
-        let per_doc: Vec<Vec<(UtilityAccumulator, QuerySource)>> = if threads == 1 {
-            docs.iter().map(|doc| doc.query_accumulator_batch(patterns)).collect()
+        let parts = if docs.iter().any(|doc| matches!(doc.backend, Backend::Engine(_))) {
+            threads
         } else {
-            let chunk = docs.len().div_ceil(threads);
-            let parts: Vec<Vec<Vec<(UtilityAccumulator, QuerySource)>>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = docs
-                        .chunks(chunk)
-                        .map(|part| {
-                            scope.spawn(move || {
-                                part.iter()
-                                    .map(|doc| doc.query_accumulator_batch(patterns))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fan-out worker panicked"))
-                        .collect()
-                });
-            parts.into_iter().flatten().collect()
+            query_parts(threads, patterns.len() * docs.len())
         };
+        // per document: the raw accumulators for every pattern
+        let per_doc = run_in_parts(&docs, parts, |part| {
+            part.iter().map(|doc| doc.query_accumulator_batch(patterns)).collect()
+        });
 
         let utilities: Vec<GlobalUtility> = docs.iter().map(|d| d.utility()).collect();
         let shared_utility =
@@ -991,6 +1000,86 @@ mod tests {
             assert_eq!(catalog.query_batch(&ids[0], &refs, threads).unwrap(), serial);
         }
         assert!(catalog.query_batch("nope", &refs, 2).is_none());
+        // past the inline threshold, so wider calls spread; a fresh
+        // catalog per width keeps every pattern a cache miss, so the
+        // whole batch reaches the executor
+        let wide: Vec<&[u8]> =
+            refs.iter().copied().cycle().take(2 * MIN_LOOKUPS_PER_THREAD).collect();
+        let wide_serial: Vec<UsiQuery> =
+            wide.iter().map(|p| doc.index().unwrap().query(p)).collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let cold = Catalog::new(1);
+            cold.insert(&ids[0], doc.index().unwrap().clone());
+            assert_eq!(cold.query_batch(&ids[0], &wide, threads).unwrap(), wide_serial);
+        }
+    }
+
+    #[test]
+    fn small_batches_run_inline_and_large_ones_spread() {
+        // the benchmark's fan-out, 4 documents × 8 patterns, sits at
+        // least 10× below the threshold
+        const { assert!(4 * 8 * 10 <= MIN_LOOKUPS_PER_THREAD) };
+        assert_eq!(query_parts(2, 4 * 8), 1);
+        assert_eq!(query_parts(8, 4 * 8), 1);
+        for lookups in [0, 1, 32, 2 * MIN_LOOKUPS_PER_THREAD, 100 * MIN_LOOKUPS_PER_THREAD] {
+            assert_eq!(query_parts(1, lookups), 1, "{lookups} lookups");
+        }
+        assert_eq!(query_parts(2, 2 * MIN_LOOKUPS_PER_THREAD - 1), 1);
+        assert_eq!(query_parts(2, 2 * MIN_LOOKUPS_PER_THREAD), 2);
+        assert_eq!(query_parts(8, 3 * MIN_LOOKUPS_PER_THREAD), 3);
+        // the nightly catalog_batch_threads/2 batch still spreads
+        assert_eq!(query_parts(2, 1000), 2);
+    }
+
+    /// A [`QueryEngine`] that answers every pattern empty and records
+    /// the thread each pattern was answered on.
+    #[derive(Default)]
+    struct ThreadRecorder(Mutex<Vec<std::thread::ThreadId>>);
+
+    impl QueryEngine for ThreadRecorder {
+        fn query(&self, pattern: &[u8]) -> UsiQuery {
+            let (acc, source) = self.query_accumulator(pattern);
+            UsiQuery { value: acc.finish(GlobalAggregator::Sum), occurrences: 0, source }
+        }
+
+        fn query_accumulator(&self, _: &[u8]) -> (UtilityAccumulator, QuerySource) {
+            self.0.lock().unwrap().push(std::thread::current().id());
+            (UtilityAccumulator::new(), QuerySource::TextIndex)
+        }
+
+        fn utility(&self) -> GlobalUtility {
+            GlobalUtility::sum_of_sums()
+        }
+
+        fn indexed_len(&self) -> usize {
+            0
+        }
+
+        fn cached_substrings(&self) -> usize {
+            0
+        }
+
+        fn size_breakdown(&self) -> IndexSize {
+            IndexSize::default()
+        }
+    }
+
+    #[test]
+    fn fan_outs_query_engine_documents_concurrently() {
+        // a --shard front end: each document may wait on a network
+        // round trip, so even a tiny fan-out spreads across documents
+        let catalog = Catalog::new(2);
+        let shards: Vec<Arc<ThreadRecorder>> = (0..2).map(|_| Arc::default()).collect();
+        for (i, shard) in shards.iter().enumerate() {
+            catalog.insert_engine(format!("shard{i}"), Arc::clone(shard) as _);
+        }
+        let fans = catalog.query_all_batch(&[b"ab"], 2);
+        assert_eq!(fans[0].per_doc.len(), 2);
+        let caller = std::thread::current().id();
+        let ran_on: Vec<_> = shards.iter().map(|s| s.0.lock().unwrap().clone()).collect();
+        assert_eq!(ran_on.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1]);
+        assert!(ran_on[0][0] != caller && ran_on[1][0] != caller, "ran on the caller");
+        assert_ne!(ran_on[0][0], ran_on[1][0], "both shards ran on one thread");
     }
 
     #[test]
@@ -1071,6 +1160,20 @@ mod tests {
             assert_eq!(fans.len(), 3);
             for (p, fan) in refs.iter().zip(&fans) {
                 let single = catalog.query_all(p);
+                assert_eq!(fan.per_doc, single.per_doc);
+                assert_eq!(fan.total_occurrences, single.total_occurrences);
+                assert_eq!(fan.total_value, single.total_value);
+            }
+        }
+        // and past the inline threshold (3 documents × 640 patterns),
+        // where wider calls spread across documents
+        let singles: Vec<FanOut> = refs.iter().map(|p| catalog.query_all(p)).collect();
+        let wide: Vec<&[u8]> =
+            refs.iter().copied().cycle().take(2 * MIN_LOOKUPS_PER_THREAD).collect();
+        for threads in [1, 2, 7] {
+            let fans = catalog.query_all_batch(&wide, threads);
+            assert_eq!(fans.len(), wide.len());
+            for (fan, single) in fans.iter().zip(singles.iter().cycle()) {
                 assert_eq!(fan.per_doc, single.per_doc);
                 assert_eq!(fan.total_occurrences, single.total_occurrences);
                 assert_eq!(fan.total_value, single.total_value);

@@ -46,7 +46,7 @@
 use crate::catalog::{AppendError, Catalog, ReloadError};
 use crate::framing::{self, frame, Frame, MAX_HEAD};
 use crate::json::{
-    fan_out_acc_response_json, fan_out_response_json, query_acc_response_json, query_response_json,
+    fan_out_acc_response_json, fan_out_response_body, query_acc_response_json, query_response_json,
     Json,
 };
 use crate::metrics;
@@ -97,7 +97,11 @@ impl AccessLog {
 pub struct ServerConfig {
     /// Connection-handling worker threads.
     pub workers: usize,
-    /// Scoped threads a single batch/fan-out query may spread over.
+    /// Most scoped threads a single batch/fan-out query may spread
+    /// over. A cap, not a target: a batch below 320 lookups (patterns ×
+    /// documents) per thread runs inline on the request's pool worker,
+    /// except that a fan-out over remote shards or followers always
+    /// spreads across its documents.
     pub batch_threads: usize,
     /// Honour HTTP keep-alive (persistent connections). When `false`
     /// every response carries `Connection: close` and the socket shuts
@@ -1213,11 +1217,15 @@ fn query(catalog: &Catalog, body: &[u8], batch_threads: usize) -> Response {
     if doc == "*" {
         let fans = catalog.query_all_batch(&patterns, batch_threads);
         return serialized(|| {
-            ok(if want_acc {
-                fan_out_acc_response_json(&patterns, &fans)
+            if want_acc {
+                ok(fan_out_acc_response_json(&patterns, &fans))
             } else {
-                fan_out_response_json(&patterns, &fans)
-            })
+                Response {
+                    status: 200,
+                    content_type: APPLICATION_JSON,
+                    body: fan_out_response_body(&patterns, &fans),
+                }
+            }
         });
     }
     if want_acc {

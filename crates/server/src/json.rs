@@ -174,6 +174,14 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
+/// `value.map_or(Json::Null, Json::Num)`'s encoding.
+fn write_optional_number(value: Option<f64>, out: &mut String) {
+    match value {
+        Some(n) => write_number(n, out),
+        None => out.push_str("null"),
+    }
+}
+
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -255,10 +263,51 @@ pub fn query_response_json(doc: &str, patterns: &[&[u8]], answers: &[UsiQuery]) 
 }
 
 /// The `POST /v1/query` response body for a `"doc": "*"` fan-out query.
+/// The server writes these bytes with [`fan_out_response_body`]; this
+/// tree is the reference that writer is tested against.
 pub fn fan_out_response_json(patterns: &[&[u8]], fans: &[FanOut]) -> Json {
     let results =
         patterns.iter().zip(fans).map(|(p, fan)| fan_out_json(p, fan)).collect::<Vec<_>>();
     Json::Obj(vec![("doc".into(), Json::str("*")), ("results".into(), Json::Arr(results))])
+}
+
+/// `fan_out_response_json(patterns, fans).encode()`, written straight
+/// into one `String` with the encoder's own primitives instead of
+/// building a [`Json`] tree first — the fan-out hot path.
+pub fn fan_out_response_body(patterns: &[&[u8]], fans: &[FanOut]) -> String {
+    let doc_bytes: usize =
+        fans.first().map_or(0, |fan| fan.per_doc.iter().map(|(doc, _)| doc.len() + 64).sum());
+    let mut out = String::with_capacity(24 + fans.len() * (64 + doc_bytes));
+    out.push_str(r#"{"doc":"*","results":["#);
+    for (i, (pattern, fan)) in patterns.iter().zip(fans).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(r#"{"pattern":"#);
+        write_string(&String::from_utf8_lossy(pattern), &mut out);
+        out.push_str(r#","occurrences":"#);
+        write_number(fan.total_occurrences as f64, &mut out);
+        out.push_str(r#","value":"#);
+        write_optional_number(fan.total_value, &mut out);
+        out.push_str(r#","per_doc":["#);
+        for (j, (doc, q)) in fan.per_doc.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str(r#"{"doc":"#);
+            write_string(doc, &mut out);
+            out.push_str(r#","occurrences":"#);
+            write_number(q.occurrences as f64, &mut out);
+            out.push_str(r#","value":"#);
+            write_optional_number(q.value, &mut out);
+            out.push_str(r#","source":"#);
+            write_string(source_name(q.source), &mut out);
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -577,8 +626,9 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // Rust's f64 grammar is looser than JSON's (`01`, `1.`, `-.5`)
         match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(n) if n.is_finite() && is_json_number(text.as_bytes()) => Ok(Json::Num(n)),
             _ => {
                 self.pos = start;
                 Err(self.err("invalid number"))
@@ -587,9 +637,33 @@ impl Parser<'_> {
     }
 }
 
+/// Whether `text` is exactly one RFC 8259 §6 number:
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn is_json_number(text: &[u8]) -> bool {
+    fn split(s: &[u8], at: impl Fn(&u8) -> bool) -> (&[u8], Option<&[u8]>) {
+        match s.iter().position(at) {
+            Some(i) => (&s[..i], Some(&s[i + 1..])),
+            None => (s, None),
+        }
+    }
+    let digits = |d: &[u8]| !d.is_empty() && d.iter().all(u8::is_ascii_digit);
+    let unsigned = text.strip_prefix(b"-").unwrap_or(text);
+    let (mantissa, exponent) = split(unsigned, |&b| b == b'e' || b == b'E');
+    let (int, frac) = split(mantissa, |&b| b == b'.');
+    let exponent_digits =
+        |e: &[u8]| digits(e.strip_prefix(b"+").or(e.strip_prefix(b"-")).unwrap_or(e));
+    digits(int)
+        && (int == b"0" || int[0] != b'0')
+        && frac.is_none_or(digits)
+        && exponent.is_none_or(exponent_digits)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn roundtrip(src: &str) -> String {
         Json::parse(src).unwrap().encode()
@@ -634,6 +708,114 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).encode(), "null");
         // huge magnitudes stay parseable and round-trip exactly
         assert_eq!(Json::parse(&Json::Num(1e300).encode()).unwrap(), Json::Num(1e300));
+        // so do -0, 2^53 and past it, subnormals and the extremes
+        for n in
+            [-0.0, 9_007_199_254_740_992.0, 9_007_199_254_740_994.0, 5e-324, f64::MAX, f64::MIN]
+        {
+            assert_eq!(Json::parse(&Json::Num(n).encode()), Ok(Json::Num(n)), "{n}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        // each is a valid Rust f64 literal but not a JSON number
+        for bad in ["01", "00", "-01.5", "1.", "1.e5", "-.5"] {
+            for (src, offset) in
+                [(bad.to_string(), 0), (format!("[{bad}]"), 1), (format!(r#"{{"n":{bad}}}"#), 5)]
+            {
+                let err = Json::parse(&src).unwrap_err();
+                assert_eq!((err.message, err.offset), ("invalid number", offset), "{src}");
+            }
+        }
+        for (good, n) in [("0", 0.0), ("-0", -0.0), ("0.5", 0.5), ("1e5", 1e5), ("1E+2", 100.0)] {
+            assert_eq!(Json::parse(good), Ok(Json::Num(n)), "{good}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn encoded_finite_numbers_parse_back(bits in any::<u64>()) {
+            let n = f64::from_bits(bits);
+            prop_assume!(n.is_finite());
+            prop_assert_eq!(Json::parse(&Json::Num(n).encode()), Ok(Json::Num(n)));
+        }
+
+        #[test]
+        fn fan_out_body_equals_the_reference_tree(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let patterns: Vec<Vec<u8>> = (0..rng.gen_range(0..=10))
+                .map(|_| (0..rng.gen_range(0..6)).map(|_| awkward_byte(&mut rng)).collect())
+                .collect();
+            let ids: Vec<String> = (0..rng.gen_range(0..=5))
+                .map(|_| (0..rng.gen_range(0..6)).map(|_| awkward_char(&mut rng)).collect())
+                .collect();
+            let fans: Vec<FanOut> = patterns
+                .iter()
+                .map(|_| FanOut {
+                    per_doc: ids
+                        .iter()
+                        .map(|id| {
+                            let q = UsiQuery {
+                                value: awkward_value(&mut rng),
+                                occurrences: awkward_count(&mut rng),
+                                source: [QuerySource::HashTable, QuerySource::TextIndex]
+                                    [rng.gen_range(0..2)],
+                            };
+                            (id.clone(), q)
+                        })
+                        .collect(),
+                    total_occurrences: awkward_count(&mut rng),
+                    total_value: awkward_value(&mut rng),
+                    total_acc: UtilityAccumulator::new(),
+                    utility: None,
+                })
+                .collect();
+            let refs: Vec<&[u8]> = patterns.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(
+                fan_out_response_body(&refs, &fans),
+                fan_out_response_json(&refs, &fans).encode()
+            );
+        }
+    }
+
+    /// Pattern bytes that stress the encoder: quotes, backslashes,
+    /// control bytes, UTF-8 lead and continuation bytes on their own
+    /// (non-UTF-8 patterns), or any byte.
+    fn awkward_byte(rng: &mut StdRng) -> u8 {
+        const AWKWARD: &[u8] = b"a\"\\\x00\x1f\x7f\xc3\xa9\xf0\x9d\xff";
+        if rng.gen_bool(0.5) {
+            AWKWARD[rng.gen_range(0..AWKWARD.len())]
+        } else {
+            rng.gen()
+        }
+    }
+
+    /// Document-id characters that stress the encoder: quotes,
+    /// backslashes, every control character, and non-ASCII.
+    fn awkward_char(rng: &mut StdRng) -> char {
+        const AWKWARD: &[char] = &['d', '"', '\\', '/', '\u{7f}', 'é', '\u{2028}', '𝄞'];
+        if rng.gen_bool(0.5) {
+            AWKWARD[rng.gen_range(0..AWKWARD.len())]
+        } else {
+            char::from(rng.gen_range(0..0x20u8))
+        }
+    }
+
+    /// `None`, the values whose encodings differ (NaN, ±∞, -0, integers
+    /// past 2^53), or any bit pattern.
+    fn awkward_value(rng: &mut StdRng) -> Option<f64> {
+        const SPECIAL: [f64; 6] =
+            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 9_007_199_254_740_994.0, 24.0];
+        match rng.gen_range(0..3) {
+            0 => None,
+            1 => Some(SPECIAL[rng.gen_range(0..SPECIAL.len())]),
+            _ => Some(f64::from_bits(rng.gen())),
+        }
+    }
+
+    /// Small counts and counts past 2^53 (which encode as floats).
+    fn awkward_count(rng: &mut StdRng) -> u64 {
+        rng.gen::<u64>() >> rng.gen_range(0..64)
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   documents (`usi_ingest::IngestPipeline` behind
 //!   `POST /v1/docs/{id}/append`), routes queries by document id with a
 //!   per-document pattern → answer LRU cache, fans out across every
-//!   document, and spreads batches over `std::thread::scope` workers;
+//!   document, and runs each query batch inline unless it holds at
+//!   least 320 lookups (patterns × documents) per thread — larger
+//!   batches, and fan-outs over remote shards or followers, spread over
+//!   `std::thread::scope` workers;
 //! * [`json`] — a hand-rolled JSON value/parser/encoder plus the API
 //!   encodings shared by the server, the CLI's `--json` mode and the
 //!   end-to-end tests;
