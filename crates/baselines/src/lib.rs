@@ -23,14 +23,11 @@ pub mod bsl2;
 pub mod bsl3;
 pub mod bsl4;
 pub mod common;
-// The LRU implementation moved into the substrate crate so the server's
-// pattern-response cache and BSL2 share one implementation; re-exported
-// here so `usi_baselines::lru::LruCache` keeps working.
-pub use usi_strings::lru;
+pub mod lru;
 
 pub use bsl1::Bsl1;
 pub use bsl2::Bsl2;
 pub use bsl3::Bsl3;
 pub use bsl4::Bsl4;
 pub use common::{BaselineAnswer, QueryBaseline, TextBackend};
-pub use usi_strings::LruCache;
+pub use lru::LruCache;

@@ -2,13 +2,10 @@
 //!
 //! Hash map + intrusive doubly-linked list over a slab, all `O(1)` per
 //! operation. Implemented from scratch — no external cache crates.
-//!
-//! Lives in the substrate crate so every consumer shares one
-//! implementation: `usi_baselines` uses it as the BSL2 replacement
-//! policy, `usi_server` as the per-document pattern → answer cache.
+//! [`crate::Bsl2`] uses it as its replacement policy.
 
-use crate::FxHashMap;
 use std::hash::Hash;
+use usi_strings::FxHashMap;
 
 const NIL: u32 = u32::MAX;
 
@@ -23,7 +20,7 @@ struct Entry<K, V> {
 /// Least-recently-used cache with at most `capacity` entries.
 ///
 /// ```
-/// use usi_strings::LruCache;
+/// use usi_baselines::LruCache;
 /// let mut lru = LruCache::new(2);
 /// lru.insert("a", 1);
 /// lru.insert("b", 2);
@@ -116,16 +113,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some(&self.slab[idx as usize].value)
     }
 
-    /// Drops every entry, keeping the allocated capacity (used to
-    /// invalidate a pattern cache after an append or reload).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     /// Inserts or refreshes `key`; evicts the least-recently-used entry
     /// when full. Returns the evicted `(key, value)` if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
@@ -208,17 +195,12 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_lookup_and_clear() {
+    fn borrowed_lookup() {
         let mut lru: LruCache<Vec<u8>, u32> = LruCache::new(4);
         lru.insert(b"abra".to_vec(), 7);
         // no allocation needed to probe by slice
         assert_eq!(lru.get(&b"abra"[..]), Some(&7));
         assert_eq!(lru.get(&b"zzz"[..]), None);
-        lru.clear();
-        assert!(lru.is_empty());
-        assert_eq!(lru.get(&b"abra"[..]), None);
-        lru.insert(b"new".to_vec(), 1);
-        assert_eq!(lru.len(), 1);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use usi_server::{read_response, serve, Catalog, ServerConfig};
 
 /// Indexed letters: large enough that queries do real work.
 const N: usize = 1 << 18; // 256 Ki
-/// Distinct request bodies — 4× the server's per-doc LRU capacity.
+/// Distinct request bodies, cycled through in order.
 const BODIES: usize = 4096;
 /// Idle-pool sizes. Tier names are fixed; the last tier is clamped to
 /// the fd budget at runtime (see [`fd_budget`]).

@@ -8,9 +8,8 @@
 //! median overhead; the instruments are relaxed atomics precisely so
 //! this stays noise-level next to socket I/O and query work.
 //!
-//! Request bodies cycle through 4× the pattern-cache capacity, so
-//! queries keep taking the computed (cache-miss) path rather than
-//! degenerating into LRU hits.
+//! Request bodies cycle through 4096 distinct single-pattern queries
+//! sampled from the indexed text.
 //!
 //! Tracked by the nightly gate via `ci/nightly-thresholds.json`.
 
@@ -26,7 +25,7 @@ use usi_server::{read_response, serve, Catalog, ServerConfig};
 
 /// Indexed letters: large enough that queries do real work.
 const N: usize = 1 << 18; // 256 Ki
-/// Distinct request bodies — 4× the server's per-doc LRU capacity.
+/// Distinct request bodies, cycled through in order.
 const BODIES: usize = 4096;
 
 fn built_index() -> UsiIndex {

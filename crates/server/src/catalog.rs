@@ -9,10 +9,9 @@
 //! held — so long queries never block loads and loads never block
 //! queries on other shards.
 //!
-//! Every document carries a small pattern → answer LRU cache
-//! ([`usi_strings::LruCache`], the same implementation BSL2 uses) on
-//! the single-document hot path, invalidated whenever an append makes
-//! it stale; hit/miss counters surface in `/v1/docs/{id}/stats`.
+//! Every read goes straight to the document's engine. There is no
+//! pattern cache in front of it: the index's hash table `H` already
+//! answers the top-K frequent substrings in `O(m)`.
 //!
 //! Query surface:
 //!
@@ -36,15 +35,14 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use usi_core::index::IndexSize;
 use usi_core::{
     merge_accumulators, merged_total, PersistError, QueryEngine, QuerySource, UsiIndex, UsiQuery,
 };
 use usi_ingest::{IngestError, IngestPipeline, IngestStats};
-use usi_strings::{GlobalUtility, LruCache, UtilityAccumulator};
+use usi_strings::{GlobalUtility, UtilityAccumulator};
 
 /// How a catalog materialises `.usix` files.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,11 +56,6 @@ pub struct LoadOptions {
     /// `available_parallelism`.
     pub threads: usize,
 }
-
-/// Entries per document in the pattern → answer cache. Patterns are
-/// short and answers are `Copy`, so this costs a few tens of KiB per
-/// hot document.
-const PATTERN_CACHE_CAPACITY: usize = 1024;
 
 /// Lookups (patterns × documents) each thread of a spread query batch
 /// must get; smaller batches run inline on the caller's thread.
@@ -223,13 +216,6 @@ pub struct Doc {
     /// Where the document came from, when it can be re-opened for a
     /// live reload; `None` for in-process and ingest-enabled documents.
     source: Option<ReloadSpec>,
-    /// Pattern → answer cache for the single-document hot path.
-    cache: Mutex<LruCache<Vec<u8>, UsiQuery>>,
-    /// Bumped (under the cache lock) on every append, so an in-flight
-    /// query cannot insert a pre-append answer afterwards.
-    generation: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     /// `usi_doc_queries_total{doc=<id>}`, resolved once at registration
     /// so the query path never touches the metric family lock.
     queries_total: Arc<usi_obs::Counter>,
@@ -238,16 +224,7 @@ pub struct Doc {
 impl Doc {
     fn new(id: String, backend: Backend, source: Option<ReloadSpec>) -> Self {
         let queries_total = crate::metrics::server().doc_queries.with(&[&id]);
-        Self {
-            id,
-            backend,
-            source,
-            cache: Mutex::new(LruCache::new(PATTERN_CACHE_CAPACITY)),
-            generation: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            queries_total,
-        }
+        Self { id, backend, source, queries_total }
     }
 
     /// The document id (file stem for documents loaded from disk).
@@ -287,14 +264,6 @@ impl Doc {
             Backend::Ingest(pipeline) => pipeline,
             Backend::Engine(engine) => engine.as_ref(),
         }
-    }
-
-    /// Whether answers may be cached in the pattern LRU. Engine-backed
-    /// documents (replication followers, remote shards) mutate without
-    /// going through [`Doc::append`], so there is no invalidation hook
-    /// — caching their answers would serve stale reads forever.
-    fn cacheable(&self) -> bool {
-        !matches!(self.backend, Backend::Engine(_))
     }
 
     /// The document's WAL file and its committed clean length, for
@@ -349,57 +318,42 @@ impl Doc {
         self.ingest().map(IngestPipeline::stats)
     }
 
-    /// `(hits, misses)` of the pattern cache since load.
+    /// Always `(0, 0)`. Documents keep no pattern cache, so there are
+    /// no hits or misses to report; the method stays for callers that
+    /// still read it.
     pub fn cache_counters(&self) -> (u64, u64) {
-        (self.cache_hits.load(Ordering::Relaxed), self.cache_misses.load(Ordering::Relaxed))
+        (0, 0)
     }
 
     /// Appends weighted letters; only ingest-enabled documents accept.
-    /// Invalidates the pattern cache before returning, so no later
-    /// query can see a pre-append answer.
+    /// Every query that starts after this returns sees the letters.
     pub fn append(&self, text: &[u8], weights: &[f64]) -> Result<(), AppendError> {
         let Backend::Ingest(pipeline) = &self.backend else {
             return Err(AppendError::StaticDoc);
         };
-        pipeline.append(text, weights).map_err(AppendError::Ingest)?;
-        let mut cache = self.cache.lock().expect("pattern cache lock poisoned");
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        cache.clear();
-        Ok(())
+        pipeline.append(text, weights).map_err(AppendError::Ingest)
     }
 
-    /// Computes answers for `patterns` straight from the backend,
-    /// bypassing the cache. The batch runs inline unless it holds
-    /// [`MIN_LOOKUPS_PER_THREAD`] patterns per thread; then it spreads
-    /// over up to `threads` scoped workers in contiguous chunks — a
-    /// pipeline's state lock is a read-write lock, so concurrent chunk
-    /// readers don't exclude each other.
-    fn compute_batch(&self, patterns: &[&[u8]], threads: usize) -> Vec<UsiQuery> {
-        run_in_parts(patterns, query_parts(threads, patterns.len()), |part| {
-            self.engine().query_batch(part)
-        })
-    }
-
-    /// Answers one pattern through the cache.
+    /// Answers one pattern from the engine.
     pub fn query(&self, pattern: &[u8]) -> UsiQuery {
         self.query_batch(&[pattern], 1).pop().expect("one pattern in, one answer out")
     }
 
-    /// Answers a pattern batch through the cache: cached patterns are
-    /// served from the LRU, the misses go to the backend (see
-    /// [`Catalog::query_batch`] for when they spread over threads), and
-    /// fresh answers are inserted unless an append invalidated the
-    /// document meanwhile. Answers are in pattern order and identical
-    /// to computing each pattern directly.
+    /// Answers a pattern batch from the engine, in pattern order and
+    /// identical to answering each pattern directly. The batch runs
+    /// inline unless it holds 320 patterns per thread; then it spreads
+    /// over up to `threads` scoped workers in contiguous chunks — a
+    /// pipeline's state lock is a read-write lock, so concurrent chunk
+    /// readers don't exclude each other.
     pub fn query_batch(&self, patterns: &[&[u8]], threads: usize) -> Vec<UsiQuery> {
         let engine_start = Instant::now();
-        let answers = if self.cacheable() {
-            self.query_batch_cached(patterns, threads)
-        } else {
-            self.queries_total.add(patterns.len() as u64);
-            crate::metrics::server().query_batch_size.observe(patterns.len() as f64);
-            self.compute_batch(patterns, threads)
-        };
+        // global telemetry: pre-resolved handles, a few relaxed atomic
+        // adds per *batch* — the per-pattern cost stays amortised
+        self.queries_total.add(patterns.len() as u64);
+        crate::metrics::server().query_batch_size.observe(patterns.len() as f64);
+        let answers = run_in_parts(patterns, query_parts(threads, patterns.len()), |part| {
+            self.engine().query_batch(part)
+        });
         // the engine stage of the enclosing request's trace (a no-op
         // outside a request, where it lands in the global span ring)
         if usi_obs::enabled() {
@@ -414,57 +368,16 @@ impl Doc {
         answers
     }
 
-    /// The cacheable-backend arm of [`Doc::query_batch`]: cached
-    /// patterns are served from the LRU, misses go to the backend, and
-    /// fresh answers are inserted unless an append invalidated the
-    /// document meanwhile.
-    fn query_batch_cached(&self, patterns: &[&[u8]], threads: usize) -> Vec<UsiQuery> {
-        let mut answers: Vec<Option<UsiQuery>> = vec![None; patterns.len()];
-        let mut miss_at: Vec<usize> = Vec::new();
-        let generation = self.generation.load(Ordering::SeqCst);
-        {
-            let mut cache = self.cache.lock().expect("pattern cache lock poisoned");
-            for (i, &pattern) in patterns.iter().enumerate() {
-                match cache.get(pattern) {
-                    Some(&answer) => answers[i] = Some(answer),
-                    None => miss_at.push(i),
-                }
-            }
-        }
-        let hits = (patterns.len() - miss_at.len()) as u64;
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(miss_at.len() as u64, Ordering::Relaxed);
-        // global telemetry: pre-resolved handles, a few relaxed atomic
-        // adds per *batch* — the per-pattern cost stays amortised
-        let m = crate::metrics::server();
-        self.queries_total.add(patterns.len() as u64);
-        m.cache_hits_total.add(hits);
-        m.cache_misses_total.add(miss_at.len() as u64);
-        m.query_batch_size.observe(patterns.len() as f64);
-        if !miss_at.is_empty() {
-            let miss_patterns: Vec<&[u8]> = miss_at.iter().map(|&i| patterns[i]).collect();
-            let computed = self.compute_batch(&miss_patterns, threads);
-            let mut cache = self.cache.lock().expect("pattern cache lock poisoned");
-            // an append bumps the generation under this lock before
-            // clearing: equal generations mean these answers are current
-            let fresh = self.generation.load(Ordering::SeqCst) == generation;
-            for (&i, &answer) in miss_at.iter().zip(&computed) {
-                if fresh {
-                    cache.insert(patterns[i].to_vec(), answer);
-                }
-                answers[i] = Some(answer);
-            }
-        }
-        answers.into_iter().map(|a| a.expect("every pattern answered")).collect()
-    }
-
     /// Raw accumulators for a pattern batch, so fan-out callers can
     /// merge per-document occurrences before extracting aggregates.
-    /// Bypasses the pattern cache (accumulators, not finished answers).
+    /// The patterns count in `usi_doc_queries_total{doc}` like
+    /// [`Doc::query_batch`]'s, but no `engine` stage is recorded here:
+    /// a fan-out records one stage for all its documents.
     pub fn query_accumulator_batch(
         &self,
         patterns: &[&[u8]],
     ) -> Vec<(UtilityAccumulator, QuerySource)> {
+        self.queries_total.add(patterns.len() as u64);
         self.engine().query_accumulator_batch(patterns)
     }
 }
@@ -613,9 +526,7 @@ impl Catalog {
     /// Inserts (or replaces) a document answered by an arbitrary
     /// [`QueryEngine`] — a replication follower's replaying index, a
     /// remote shard proxy. The caller keeps its own `Arc` to feed the
-    /// engine; the catalog serves queries through it (bypassing the
-    /// pattern cache, since such engines mutate without append
-    /// notifications).
+    /// engine; the catalog serves queries through it.
     pub fn insert_engine(
         &self,
         id: impl Into<String>,
@@ -816,10 +727,11 @@ impl Catalog {
         self.get(id).map(|doc| doc.query(pattern))
     }
 
-    /// Batch-queries one document. Cache misses run inline, or spread
+    /// Batch-queries one document. The batch runs inline, or spreads
     /// over up to `threads` scoped workers in contiguous chunks once
-    /// there are 320 per thread. Answers are in pattern order and
-    /// identical to the serial loop. `None` if the id is not loaded.
+    /// there are 320 patterns per thread. Answers are in pattern order
+    /// and identical to the serial loop. `None` if the id is not
+    /// loaded.
     pub fn query_batch(
         &self,
         id: &str,
@@ -911,6 +823,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Mutex;
     use usi_core::UsiBuilder;
     use usi_ingest::IngestConfig;
     use usi_strings::{GlobalAggregator, WeightedString};
@@ -968,6 +881,9 @@ mod tests {
         assert!(catalog.remove("doc1"));
         assert!(!catalog.remove("doc1"));
         assert_eq!(catalog.len(), 2);
+        // frozen documents refuse appends
+        let doc = catalog.get(&ids[0]).unwrap();
+        assert!(matches!(doc.append(b"a", &[1.0]), Err(AppendError::StaticDoc)));
     }
 
     #[test]
@@ -1000,17 +916,13 @@ mod tests {
             assert_eq!(catalog.query_batch(&ids[0], &refs, threads).unwrap(), serial);
         }
         assert!(catalog.query_batch("nope", &refs, 2).is_none());
-        // past the inline threshold, so wider calls spread; a fresh
-        // catalog per width keeps every pattern a cache miss, so the
-        // whole batch reaches the executor
+        // past the inline threshold, so wider calls spread
         let wide: Vec<&[u8]> =
             refs.iter().copied().cycle().take(2 * MIN_LOOKUPS_PER_THREAD).collect();
         let wide_serial: Vec<UsiQuery> =
             wide.iter().map(|p| doc.index().unwrap().query(p)).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let cold = Catalog::new(1);
-            cold.insert(&ids[0], doc.index().unwrap().clone());
-            assert_eq!(cold.query_batch(&ids[0], &wide, threads).unwrap(), wide_serial);
+            assert_eq!(catalog.query_batch(&ids[0], &wide, threads).unwrap(), wide_serial);
         }
     }
 
@@ -1083,23 +995,27 @@ mod tests {
     }
 
     #[test]
-    fn pattern_cache_serves_hits_and_counts_them() {
-        let (catalog, ids) = filled_catalog();
-        let doc = catalog.get(&ids[0]).unwrap();
-        assert_eq!(doc.cache_counters(), (0, 0));
-        let direct = doc.index().unwrap().query(b"ab");
-        assert_eq!(doc.query(b"ab"), direct);
-        assert_eq!(doc.cache_counters(), (0, 1));
-        // the second probe is a hit and still the same answer
-        assert_eq!(doc.query(b"ab"), direct);
-        assert_eq!(doc.cache_counters(), (1, 1));
-        // a batch with one known and one new pattern: one hit, one miss
-        let answers = doc.query_batch(&[b"ab", b"ba"], 4);
-        assert_eq!(answers[0], direct);
-        assert_eq!(answers[1], doc.index().unwrap().query(b"ba"));
-        assert_eq!(doc.cache_counters(), (2, 2));
-        // frozen documents refuse appends
-        assert!(matches!(doc.append(b"a", &[1.0]), Err(AppendError::StaticDoc)));
+    fn every_read_path_counts_per_document() {
+        // ids no other test registers: usi_doc_queries_total is
+        // process-global per id
+        let catalog = Catalog::new(2);
+        for (id, seed) in [("tally0", 3u64), ("tally1", 4)] {
+            let index =
+                UsiBuilder::new().with_k(10).deterministic(seed).build(sample_ws(seed, 200));
+            catalog.insert(id, index);
+        }
+        let counts = || {
+            ["tally0", "tally1"].map(|id| crate::metrics::server().doc_queries.with(&[id]).get())
+        };
+        let [a, b] = counts();
+        catalog.query_batch("tally0", &[b"ab"], 1).unwrap();
+        assert_eq!(counts(), [a + 1, b]);
+        // a fan-out counts its patterns on every document
+        catalog.query_all_batch(&[b"ab", b"ba", b"c"], 2);
+        assert_eq!(counts(), [a + 4, b + 3]);
+        // as does a single-document "acc": true batch
+        catalog.get("tally1").unwrap().query_accumulator_batch(&[b"ab", b"zzz"]);
+        assert_eq!(counts(), [a + 4, b + 5]);
     }
 
     #[test]
@@ -1110,9 +1026,6 @@ mod tests {
         assert!(doc.index().is_none());
         let n0 = doc.n();
         let before = doc.query(b"abc");
-        assert_eq!(doc.query(b"abc"), before); // cached now
-        let (hits, _) = doc.cache_counters();
-        assert_eq!(hits, 1);
 
         doc.append(b"abcabcabcabc", &[1.0; 12]).unwrap();
         assert_eq!(doc.n(), n0 + 12);

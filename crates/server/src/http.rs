@@ -6,7 +6,7 @@
 //! |---|---|
 //! | `GET /healthz` | `{"status":"ok","docs":N}` |
 //! | `GET /v1/docs` | the loaded documents with per-doc summaries |
-//! | `GET /v1/docs/{id}/stats` | size breakdown, build, cache and ingest stats of one document |
+//! | `GET /v1/docs/{id}/stats` | size breakdown, build and ingest stats of one document |
 //! | `POST /v1/docs/{id}/append` | durable append to an ingest-enabled document: body `{"text":"…","weight":w}` or `{"text":"…","weights":[…]}` |
 //! | `POST /v1/docs/{id}/reload` | re-open the document's `.usix` file and atomically swap the new view in |
 //! | `POST /v1/query` | batch utilities: body `{"doc":"<id>"` or `"*","patterns":[…]}`; add `"acc":true` for raw accumulators |
@@ -1048,7 +1048,6 @@ fn doc_stats(catalog: &Catalog, id: &str) -> Response {
         return error_response(404, &format!("no such document {id:?}"));
     };
     let size = doc.size_breakdown();
-    let (cache_hits, cache_misses) = doc.cache_counters();
     let mut members = vec![
         ("id".into(), Json::str(doc.id())),
         ("n".into(), Json::Num(doc.n() as f64)),
@@ -1065,13 +1064,6 @@ fn doc_stats(catalog: &Catalog, id: &str) -> Response {
                 ("psw".into(), Json::Num(size.psw as f64)),
                 ("hash_table".into(), Json::Num(size.hash_table as f64)),
                 ("total".into(), Json::Num(size.total() as f64)),
-            ]),
-        ),
-        (
-            "cache".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::Num(cache_hits as f64)),
-                ("misses".into(), Json::Num(cache_misses as f64)),
             ]),
         ),
     ];
@@ -1492,14 +1484,13 @@ mod tests {
             respond(&catalog, "POST", "/v1/docs/live/append", br#"{"text":"ab","weights":[1]}"#);
         assert_eq!(r.status, 400);
 
-        // stats expose the bounded-staleness and cache counters
+        // stats expose the bounded-staleness counters
         let r = respond(&catalog, "GET", "/v1/docs/live/stats", b"");
         assert_eq!(r.status, 200);
         let parsed = Json::parse(&r.body).unwrap();
         let ingest = parsed.get("ingest").expect("ingest section for a live doc");
         assert!(ingest.get("segments").and_then(Json::as_f64).is_some());
         assert!(ingest.get("wal_bytes").and_then(Json::as_f64).unwrap() > 8.0);
-        assert!(parsed.get("cache").and_then(|c| c.get("misses")).is_some());
     }
 
     #[test]
@@ -1570,7 +1561,7 @@ mod tests {
         assert!(r.body.contains("# TYPE usi_doc_queries_total counter"), "{}", r.body);
         assert!(r.body.contains(r#"usi_doc_queries_total{doc="abra"}"#), "{}", r.body);
         assert!(r.body.contains("# TYPE usi_query_batch_size histogram"), "{}", r.body);
-        assert!(r.body.contains("usi_cache_misses_total"), "{}", r.body);
+        assert!(!r.body.contains("usi_cache_"), "{}", r.body);
 
         let r = respond(&catalog, "GET", "/v1/trace", b"");
         assert_eq!(r.status, 200);

@@ -7,8 +7,8 @@
 //! * [`catalog`] — a sharded multi-index registry ([`Catalog`]): loads
 //!   `.usix` files or in-process builds, hosts live ingest-enabled
 //!   documents (`usi_ingest::IngestPipeline` behind
-//!   `POST /v1/docs/{id}/append`), routes queries by document id with a
-//!   per-document pattern → answer LRU cache, fans out across every
+//!   `POST /v1/docs/{id}/append`), routes queries by document id
+//!   straight to each document's engine, fans out across every
 //!   document, and runs each query batch inline unless it holds at
 //!   least 320 lookups (patterns × documents) per thread — larger
 //!   batches, and fan-outs over remote shards or followers, spread over

@@ -65,8 +65,6 @@ pub(crate) struct ServerMetrics {
     /// `usi_doc_queries_total{doc}` — resolved per [`crate::Doc`] at
     /// registration, not per query.
     pub doc_queries: CounterVec,
-    pub cache_hits_total: Arc<Counter>,
-    pub cache_misses_total: Arc<Counter>,
     pub query_batch_size: Arc<Histogram>,
     pub fan_out_width: Arc<Histogram>,
     /// `usi_catalog_reloads_total` — successful live `.usix` reloads.
@@ -151,10 +149,6 @@ impl ServerMetrics {
                 "Patterns answered, by document",
                 &["doc"],
             ),
-            cache_hits_total: registry
-                .counter("usi_cache_hits_total", "Pattern-cache hits across all documents"),
-            cache_misses_total: registry
-                .counter("usi_cache_misses_total", "Pattern-cache misses across all documents"),
             query_batch_size: registry.histogram(
                 "usi_query_batch_size",
                 "Patterns per query batch",

@@ -14,15 +14,12 @@
 //! * [`utility`] — the class `𝒰` of global utility functions (sum / min /
 //!   max / avg / count of local utilities);
 //! * [`hash`] — a fast non-cryptographic hasher for the fingerprint-keyed
-//!   hash table `H`;
-//! * [`lru`] — a fixed-capacity LRU cache shared by the BSL2 baseline and
-//!   the server's pattern-response cache.
+//!   hash table `H`.
 //!
 //! Everything is implemented from scratch; no external index crates.
 
 pub mod fingerprint;
 pub mod hash;
-pub mod lru;
 pub mod psw;
 pub mod text;
 pub mod utility;
@@ -30,7 +27,6 @@ pub mod weighted;
 
 pub use fingerprint::{Fingerprint, FingerprintTable, Fingerprinter, RollingWindow};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use lru::LruCache;
 pub use psw::{LocalIndex, LocalWindow, Psw};
 pub use text::Alphabet;
 pub use utility::{GlobalAggregator, GlobalUtility, UtilityAccumulator};

