@@ -82,9 +82,10 @@ fn bench_hashers(c: &mut Criterion) {
 }
 
 fn bench_phase2_marking(c: &mut Criterion) {
-    // Phase (ii) of construction: occurrence marking with bit vectors
-    // (exact triplets) vs witness-fingerprint sets (estimates). Same
-    // top-K input, identical resulting hash tables.
+    // Phase (ii) of construction: a bit-vector scan of the SA intervals'
+    // occurrences (exact triplets) vs a rolling-fingerprint pass against
+    // witness-fingerprint sets (estimates). Same top-K input, identical
+    // resulting hash tables.
     let ws = Dataset::Xml.generate(60_000, 7);
     let sa = suffix_array(ws.text());
     let lcp = lcp_array(ws.text(), &sa);

@@ -4,14 +4,15 @@
 //! medians against `ci/nightly-thresholds.json`.
 //!
 //! The input is a ≥ 1 MiB DNA-like Markov text (the paper's HUM
-//! profile): realistic repeat structure, so the sharded suffix-array
-//! path, the blockwise LCP pass and the per-length phase-(ii) fan-out
-//! all do representative work.
+//! profile): realistic repeat structure, so the oracle's radix counts
+//! and the per-length phase-(ii) fan-out do representative work. The
+//! suffix and LCP arrays are serial at every thread count, so
+//! `parallel_substrates` times them once each.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use usi_core::{BuildOptions, UsiBuilder};
 use usi_datasets::Dataset;
-use usi_suffix::{lcp_array, lcp_array_threads, suffix_array, suffix_array_threads};
+use usi_suffix::{lcp_array, suffix_array};
 
 const N: usize = 1 << 20; // 1 MiB
 const K: usize = N / 200;
@@ -38,10 +39,8 @@ fn bench_substrate_parallelism(c: &mut Criterion) {
     group.sample_size(5);
     group.throughput(Throughput::Bytes(N as u64));
     group.bench_function("suffix_array/t1", |b| b.iter(|| suffix_array(text)));
-    group.bench_function("suffix_array/t4", |b| b.iter(|| suffix_array_threads(text, 4)));
     let sa = suffix_array(text);
     group.bench_function("lcp/t1", |b| b.iter(|| lcp_array(text, &sa)));
-    group.bench_function("lcp/t4", |b| b.iter(|| lcp_array_threads(text, &sa, 4)));
     group.finish();
 }
 

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use usi_strings::{Fingerprinter, GlobalAggregator, GlobalUtility, LocalWindow, WeightedString};
-use usi_suffix::{lcp_array_threads, suffix_array_threads, LceBackend};
+use usi_suffix::{lcp_array, suffix_array, LceBackend};
 
 /// Build-time execution options, orthogonal to the indexing parameters
 /// (`K`/`τ`, strategy, utility): how the construction runs rather than
@@ -22,11 +22,12 @@ use usi_suffix::{lcp_array_threads, suffix_array_threads, LceBackend};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildOptions {
     /// Worker threads for construction (1 = fully sequential, the
-    /// default). Parallelises the suffix-array and LCP builds, the
-    /// oracle's radix phases and the phase-(ii) sliding-window passes
-    /// over `std::thread::scope` workers. **The output is byte-identical
-    /// to a single-threaded build for every thread count** — the CI
-    /// determinism gate `cmp`s the resulting `.usix` files.
+    /// default). Parallelises the oracle's radix phases and deals
+    /// phase (ii)'s length groups out over `std::thread::scope` workers;
+    /// the suffix and LCP arrays are serial SA-IS and Kasai at every
+    /// thread count. **The output is byte-identical to a single-threaded
+    /// build for every thread count** — the CI determinism gate `cmp`s
+    /// the resulting `.usix` files.
     pub threads: usize,
 }
 
@@ -149,10 +150,10 @@ impl UsiBuilder {
         self
     }
 
-    /// Runs construction with up to `threads` workers: the suffix-array
-    /// and LCP builds, the oracle's radix phases and the `L_K`
-    /// phase-(ii) length passes all fan out over a scoped pool. Output
-    /// is byte-identical to a sequential build.
+    /// Runs construction with up to `threads` workers: the oracle's
+    /// radix phases and the `L_K` phase-(ii) length groups fan out over
+    /// a scoped pool (see [`BuildOptions::threads`]). Output is
+    /// byte-identical to a sequential build.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.options.threads = threads.max(1);
         self
@@ -170,10 +171,10 @@ impl UsiBuilder {
         };
         let utility = GlobalUtility::with_parts(self.aggregator, self.local);
 
-        // Phase (iii) structures first: SA is shared by phase (i), and
-        // PSW is needed by phase (ii)'s sliding window.
+        // Phase (iii) structures first: phases (i) and (ii) read the SA,
+        // and phase (ii) reads PSW.
         let t0 = Instant::now();
-        let sa = suffix_array_threads(ws.text(), threads);
+        let sa = suffix_array(ws.text());
         let psw = utility.local_index(ws.weights());
         let phase_index = t0.elapsed();
 
@@ -182,7 +183,7 @@ impl UsiBuilder {
         let need_oracle =
             matches!(self.strategy, TopKStrategy::Exact) || matches!(self.size, SizeParam::Tau(_));
         let oracle = if need_oracle {
-            let lcp = lcp_array_threads(ws.text(), &sa, threads);
+            let lcp = lcp_array(ws.text(), &sa);
             Some(TopKOracle::new_threads(n, &sa, &lcp, threads))
         } else {
             None
@@ -219,10 +220,10 @@ impl UsiBuilder {
         };
         stats.phase_topk = t1.elapsed();
 
-        // Phase (ii): populate H with one sliding-window pass per length.
+        // Phase (ii): populate H, one length group at a time.
         let t2 = Instant::now();
         let (h, distinct_lengths) = match &mined {
-            Mined::Triplets(items) if threads > 1 => UsiIndex::populate_from_triplets_parallel(
+            Mined::Triplets(items) => UsiIndex::populate_from_triplets_parallel(
                 ws.text(),
                 &sa,
                 &psw,
@@ -230,9 +231,6 @@ impl UsiBuilder {
                 items,
                 threads,
             ),
-            Mined::Triplets(items) => {
-                UsiIndex::populate_from_triplets(ws.text(), &sa, &psw, &fingerprinter, items)
-            }
             Mined::Estimates(items) => {
                 UsiIndex::populate_from_estimates(ws.text(), &psw, &fingerprinter, items)
             }
@@ -243,14 +241,30 @@ impl UsiBuilder {
         stats.distinct_lengths = distinct_lengths;
 
         let index = UsiIndex::from_parts(ws, sa, psw, fingerprinter, utility, h, stats);
-        // cold path: one registry lookup and one observation per build
-        usi_obs::global()
+        // cold path: a few registry lookups and one observation per
+        // series per build
+        let registry = usi_obs::global();
+        registry
             .histogram(
                 "usi_index_build_seconds",
                 "End-to-end UsiBuilder::build wall-clock time",
                 usi_obs::default_latency_buckets(),
             )
             .observe_duration(build_started.elapsed());
+        let phases = registry.histogram_vec(
+            "usi_index_build_phase_seconds",
+            "UsiBuilder::build wall-clock time by construction phase",
+            &["phase"],
+            usi_obs::default_latency_buckets(),
+        );
+        let stats = index.stats();
+        for (phase, took) in [
+            ("index", stats.phase_index),
+            ("topk", stats.phase_topk),
+            ("populate", stats.phase_populate),
+        ] {
+            phases.with(&[phase]).observe_duration(took);
+        }
         usi_obs::tracer().record(usi_obs::Span::since(
             "index.build",
             build_started,

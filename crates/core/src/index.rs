@@ -14,12 +14,15 @@
 //!
 //! 1. **Phase (i)** — obtain the top-K frequent substrings (exact oracle
 //!    of Section V or the Section-VI sampler); done by [`crate::builder`].
-//! 2. **Phase (ii)** — group the substrings by length; for each of the
-//!    `L_K` lengths, mark occurrence start positions in a bit vector
-//!    (exact triplets) or collect witness fingerprints in a set
-//!    (estimates), then slide a window over `S` computing each window's
-//!    fingerprint and local utility in `O(1)` and aggregating marked
-//!    windows into `H`. `O(n · L_K)` total.
+//! 2. **Phase (ii)** — group the substrings by length. For exact
+//!    triplets, each of the `L_K` lengths marks its occurrences from the
+//!    SA intervals in a bit vector and walks the set bits in text order,
+//!    adding each occurrence's `O(1)` local utility to its substring's
+//!    accumulator: `O(n/64 + occ_len)` per length, so never more than
+//!    the paper's `O(n · L_K)`. For witness estimates, which carry no
+//!    intervals, a rolling fingerprint slides over `S` once per length,
+//!    aggregating the windows whose fingerprint is in the length's
+//!    witness set: `O(n · L_K)`.
 //! 3. **Phase (iii)** — build `SA(S)` and `PSW`.
 //!
 //! A query for `P` of length `m` computes `P`'s fingerprint (`O(m)`),
@@ -68,7 +71,7 @@ pub struct BuildStats {
     /// `τ_K` (exact strategy only): worst-case fallback occurrence count.
     pub tau: Option<u32>,
     /// `L_K`: number of distinct top-K substring lengths (phase-(ii)
-    /// sliding-window passes).
+    /// length groups).
     pub distinct_lengths: usize,
     /// Phase (i) wall time (top-K mining).
     pub phase_topk: Duration,
@@ -412,10 +415,13 @@ impl UsiIndex {
         out
     }
 
-    /// Populates `H` from exact triplets (phase (ii), bit-vector variant):
-    /// one sliding-window pass per distinct length, marked positions read
-    /// from the SA intervals. `O(n · L_K)`. Exposed for the phase-(ii)
-    /// ablation bench; normal construction goes through
+    /// Populates `H` from exact triplets (phase (ii)): for each distinct
+    /// length, the occurrences read from the SA intervals are marked in
+    /// a bit vector and their local utilities summed in text order.
+    /// `O(n/64 + occ_len)` per length, so at most `O(n · L_K)` in total,
+    /// and, barring fingerprint collisions, bit-identical to a
+    /// rolling-fingerprint pass over every window. Exposed for the
+    /// phase-(ii) ablation bench; normal construction goes through
     /// [`crate::builder::UsiBuilder`].
     pub fn populate_from_triplets(
         text: &[u8],
@@ -424,43 +430,21 @@ impl UsiIndex {
         fingerprinter: &Fingerprinter,
         items: &[TopKSubstring],
     ) -> (FxHashMap<HKey, UtilityAccumulator>, usize) {
-        let n = text.len();
+        let (lengths, by_len) = crate::topk::group_by_length(items);
         let mut h: FxHashMap<HKey, UtilityAccumulator> = FxHashMap::default();
         h.reserve(items.len());
-
-        // Radix-style grouping by length.
-        let (lengths, by_len) = crate::topk::group_by_length(items);
-
-        let mut bits = vec![0u64; n.div_ceil(64)];
+        let mut scan = LengthScan::new(text, sa, psw, fingerprinter);
         for &len in &lengths {
-            bits.fill(0);
-            for item in &by_len[&len] {
-                for r in item.lb..=item.rb {
-                    let p = sa[r as usize] as usize;
-                    bits[p / 64] |= 1 << (p % 64);
-                }
-            }
-            let Some(mut window) = fingerprinter.rolling(text, len as usize) else {
-                continue;
-            };
-            loop {
-                let i = window.position();
-                if bits[i / 64] >> (i % 64) & 1 == 1 {
-                    h.entry((len, window.value())).or_default().add(psw.local(i, len as usize));
-                }
-                if !window.slide() {
-                    break;
-                }
-            }
+            scan.populate(len, &by_len[&len], &mut h);
         }
         (h, lengths.len())
     }
 
     /// Parallel variant of [`UsiIndex::populate_from_triplets`]: the
-    /// `L_K` length groups are independent sliding-window passes writing
-    /// to key-disjoint parts of `H` (keys embed the length), so they are
-    /// sharded across `threads` workers and the per-thread tables merged
-    /// without conflicts. Same output as the sequential pass.
+    /// `L_K` length groups write to key-disjoint parts of `H` (keys
+    /// embed the length), so they are dealt out to `threads` workers and
+    /// the per-worker tables merged without conflicts. Same output as
+    /// the sequential pass.
     pub fn populate_from_triplets_parallel(
         text: &[u8],
         sa: &[u32],
@@ -469,46 +453,21 @@ impl UsiIndex {
         items: &[TopKSubstring],
         threads: usize,
     ) -> (FxHashMap<HKey, UtilityAccumulator>, usize) {
-        let threads = threads.max(1);
         let (lengths, by_len) = crate::topk::group_by_length(items);
-        let num_lengths = lengths.len();
-        if threads == 1 || num_lengths <= 1 {
+        let workers = threads.max(1).min(lengths.len());
+        if workers <= 1 {
             return Self::populate_from_triplets(text, sa, psw, fingerprinter, items);
         }
-
-        let n = text.len();
         let shards: Vec<FxHashMap<HKey, UtilityAccumulator>> = std::thread::scope(|scope| {
-            let by_len = &by_len;
-            let lengths = &lengths;
-            let handles: Vec<_> = (0..threads.min(num_lengths))
+            let (lengths, by_len) = (&lengths, &by_len);
+            let handles: Vec<_> = (0..workers)
                 .map(|t| {
                     scope.spawn(move || {
-                        let mut shard: FxHashMap<HKey, UtilityAccumulator> = FxHashMap::default();
-                        let mut bits = vec![0u64; n.div_ceil(64)];
+                        let mut shard = FxHashMap::default();
+                        let mut scan = LengthScan::new(text, sa, psw, fingerprinter);
                         // strided assignment balances short and long lengths
-                        for &len in lengths.iter().skip(t).step_by(threads.min(num_lengths)) {
-                            bits.fill(0);
-                            for item in &by_len[&len] {
-                                for r in item.lb..=item.rb {
-                                    let p = sa[r as usize] as usize;
-                                    bits[p / 64] |= 1 << (p % 64);
-                                }
-                            }
-                            let Some(mut window) = fingerprinter.rolling(text, len as usize) else {
-                                continue;
-                            };
-                            loop {
-                                let i = window.position();
-                                if bits[i / 64] >> (i % 64) & 1 == 1 {
-                                    shard
-                                        .entry((len, window.value()))
-                                        .or_default()
-                                        .add(psw.local(i, len as usize));
-                                }
-                                if !window.slide() {
-                                    break;
-                                }
-                            }
+                        for &len in lengths.iter().skip(t).step_by(workers) {
+                            scan.populate(len, &by_len[&len], &mut shard);
                         }
                         shard
                     })
@@ -520,11 +479,9 @@ impl UsiIndex {
         let mut h: FxHashMap<HKey, UtilityAccumulator> = FxHashMap::default();
         h.reserve(items.len());
         for shard in shards {
-            // keys are disjoint across shards: each (len, fp) lives in
-            // exactly one length group
             h.extend(shard);
         }
-        (h, num_lengths)
+        (h, lengths.len())
     }
 
     /// Populates `H` from witness estimates (phase (ii), fingerprint-set
@@ -567,6 +524,74 @@ impl UsiIndex {
             }
         }
         (h, lengths.len())
+    }
+}
+
+/// Phase (ii) for one length at a time, from the SA intervals: every
+/// occurrence of the length's top-K substrings is marked in `bits` and
+/// its owning accumulator recorded in `owner`; the set bits are then
+/// walked in text order, one word at a time. That makes the same adds
+/// in the same order as sliding a rolling fingerprint over every
+/// window, so, short of a fingerprint collision, `H` is bit-identical,
+/// at `O(n/64 + occ_len)` instead of `n` fingerprint steps. Two
+/// distinct substrings of one length never share a start, so each
+/// position has at most one owner. Buffers are reused across lengths:
+/// the walk clears `bits`, and `owner` is only read where a bit is set.
+struct LengthScan<'a> {
+    text: &'a [u8],
+    sa: &'a [u32],
+    psw: &'a LocalIndex,
+    fingerprinter: &'a Fingerprinter,
+    bits: Vec<u64>,
+    owner: Vec<u32>,
+    /// One accumulator per substring of the length, with its fingerprint.
+    slots: Vec<(u64, UtilityAccumulator)>,
+}
+
+impl<'a> LengthScan<'a> {
+    fn new(
+        text: &'a [u8],
+        sa: &'a [u32],
+        psw: &'a LocalIndex,
+        fingerprinter: &'a Fingerprinter,
+    ) -> Self {
+        Self {
+            text,
+            sa,
+            psw,
+            fingerprinter,
+            bits: vec![0; text.len().div_ceil(64)],
+            owner: vec![0; text.len()],
+            slots: Vec::new(),
+        }
+    }
+
+    /// Adds the entries of length `len` (the substrings in `group`) to `h`.
+    fn populate(
+        &mut self,
+        len: u32,
+        group: &[&TopKSubstring],
+        h: &mut FxHashMap<HKey, UtilityAccumulator>,
+    ) {
+        for (slot, item) in group.iter().enumerate() {
+            let fp = self.fingerprinter.fingerprint(item.bytes(self.text, self.sa));
+            self.slots.push((fp, UtilityAccumulator::new()));
+            for &p in &self.sa[item.lb as usize..=item.rb as usize] {
+                self.bits[p as usize / 64] |= 1 << (p % 64);
+                self.owner[p as usize] = slot as u32;
+            }
+        }
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            let mut set = std::mem::take(word);
+            while set != 0 {
+                let p = w * 64 + set.trailing_zeros() as usize;
+                self.slots[self.owner[p] as usize].1.add(self.psw.local(p, len as usize));
+                set &= set - 1;
+            }
+        }
+        for (fp, acc) in self.slots.drain(..) {
+            h.entry((len, fp)).and_modify(|hit| hit.merge(&acc)).or_insert(acc);
+        }
     }
 }
 

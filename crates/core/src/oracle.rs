@@ -54,7 +54,8 @@ pub struct TuneForK {
     /// in `O(m + τ_K)`.
     pub tau: u32,
     /// `L_K`: number of distinct lengths among the top-K substrings.
-    /// Construction runs in `O(n · L_K)`.
+    /// Phase (ii) costs at most `O(n · L_K)`; from the SA intervals it
+    /// pays `O(n/64 + occ)` per length.
     pub distinct_lengths: u32,
 }
 

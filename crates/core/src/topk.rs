@@ -14,9 +14,9 @@ use usi_strings::FxHashMap;
 
 /// Groups exact triplets by substring length and returns the sorted
 /// distinct lengths alongside the groups. A length group is the unit of
-/// work of a phase-(ii) sliding-window pass, and — because the hash-table
-/// key embeds the length — the unit of sharding for the parallel
-/// populate path: every group writes a key-disjoint part of `H`.
+/// work of phase (ii), and — because the hash-table key embeds the
+/// length — the unit of sharding for the parallel populate path: every
+/// group writes a key-disjoint part of `H`.
 pub fn group_by_length(items: &[TopKSubstring]) -> (Vec<u32>, FxHashMap<u32, Vec<&TopKSubstring>>) {
     let mut by_len: FxHashMap<u32, Vec<&TopKSubstring>> = FxHashMap::default();
     for item in items {

@@ -67,11 +67,11 @@ fn degenerate_inputs_are_thread_count_invariant() {
     assert_thread_count_invariant(&WeightedString::uniform(Vec::new(), 1.0), 5);
     // single byte
     assert_thread_count_invariant(&WeightedString::uniform(vec![b'x'], 1.0), 5);
-    // shorter than one sharding block at any practical thread count
+    // fewer length groups than workers
     assert_thread_count_invariant(&WeightedString::uniform(b"abc".to_vec(), 1.0), 3);
-    // all-equal bytes (one seed group: exercises the repetitive path)
+    // all-equal bytes: one substring per length, every position marked
     assert_thread_count_invariant(&WeightedString::uniform(vec![b'z'; 700], 1.0), 20);
-    // zero bytes, which collide with key padding if the packing is wrong
+    // zero bytes, the smallest letter value
     assert_thread_count_invariant(&WeightedString::uniform(vec![0u8; 120], 1.0), 10);
 }
 

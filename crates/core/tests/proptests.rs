@@ -1,8 +1,13 @@
 //! Property-based tests for the USI core: Theorem-level invariants.
 
 use proptest::prelude::*;
-use usi_core::{approximate_top_k, exact_top_k, ApproxConfig, TopKOracle, UsiBuilder};
-use usi_strings::{GlobalUtility, WeightedString};
+use usi_core::{
+    approximate_top_k, exact_top_k, ApproxConfig, TopKEstimate, TopKOracle, UsiBuilder, UsiIndex,
+};
+use usi_strings::{
+    Fingerprinter, FxHashMap, GlobalAggregator, GlobalUtility, LocalWindow, UtilityAccumulator,
+    WeightedString,
+};
 use usi_suffix::naive::substring_frequencies_naive;
 
 fn text_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -92,4 +97,58 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-6 * (1.0 + b.abs()));
         }
     }
+}
+
+// Default config: `PROPTEST_CASES` deepens the run.
+proptest! {
+    /// Phase (ii) from the SA intervals equals the sliding-window pass
+    /// bit for bit. `populate_from_estimates` still slides a rolling
+    /// fingerprint over every window, so fed the exact top-K as
+    /// witnesses it is the reference for the exact populate paths, at
+    /// every thread count.
+    #[test]
+    fn phase2_scan_equals_sliding_reference(
+        alphabet in 0usize..4,
+        len in 1usize..400,
+        seed in any::<u64>(),
+        k_pick in any::<u64>(),
+        product in any::<bool>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let sigma = [2u32, 3, 4, 256][alphabet];
+        let text: Vec<u8> = (0..len).map(|_| rng.gen_range(0..sigma) as u8).collect();
+        let weights: Vec<f64> = (0..len).map(|_| rng.gen_range(0.01..2.0)).collect();
+        let local = if product { LocalWindow::Product } else { LocalWindow::Sum };
+        let psw = GlobalUtility::with_parts(GlobalAggregator::Sum, local).local_index(&weights);
+        let fingerprinter = Fingerprinter::with_base(seed);
+        let k = 1 + (k_pick % len as u64) as usize;
+        let (items, sa) = exact_top_k(&text, k);
+        let witnesses: Vec<TopKEstimate> = items.iter().map(|item| item.to_estimate(&sa)).collect();
+
+        let (h, lengths) = UsiIndex::populate_from_estimates(&text, &psw, &fingerprinter, &witnesses);
+        let want = (bits(&h), lengths);
+        let (h, lengths) = UsiIndex::populate_from_triplets(&text, &sa, &psw, &fingerprinter, &items);
+        prop_assert_eq!(&(bits(&h), lengths), &want);
+        for threads in [2usize, 3, 8] {
+            let (h, lengths) = UsiIndex::populate_from_triplets_parallel(
+                &text, &sa, &psw, &fingerprinter, &items, threads,
+            );
+            prop_assert_eq!(&(bits(&h), lengths), &want);
+        }
+    }
+}
+
+/// `H` in key order with every float as its bit pattern, so `==` means
+/// bit-identical (and `NaN`s or `-0.0` cannot hide a difference).
+fn bits(h: &FxHashMap<(u32, u64), UtilityAccumulator>) -> Vec<((u32, u64), [u64; 4])> {
+    let mut entries: Vec<_> = h
+        .iter()
+        .map(|(&key, acc)| {
+            let (sum, min, max, count) = acc.to_raw();
+            (key, [sum.to_bits(), min.to_bits(), max.to_bits(), count])
+        })
+        .collect();
+    entries.sort_unstable();
+    entries
 }

@@ -5,14 +5,11 @@
 //! as `SA(S)`), this crate provides the *enhanced suffix array* toolkit
 //! that simulates every suffix-tree operation USI needs:
 //!
-//! * [`sais`] — linear-time suffix array construction (SA-IS), with the
-//!   top-level classification/bucket phases optionally chunked over
-//!   scoped threads;
-//! * [`parallel`] — block-sharded parallel suffix-array construction
-//!   (per-block seed sort + doubling merge) behind a thread-count-aware
-//!   policy entry point;
-//! * [`lcp`] — Kasai's linear-time LCP array, serial or blockwise
-//!   parallel;
+//! * [`sais`] — linear-time suffix array construction (SA-IS), serial:
+//!   on two cores it beat both a block-sharded parallel sort and SA-IS
+//!   with threaded classify and histogram phases, so neither is kept;
+//! * [`lcp`] — Kasai's linear-time LCP array, serial: a blockwise
+//!   parallel pass won nothing on two cores;
 //! * [`rmq`] — sparse-table range-minimum queries;
 //! * [`lce`] — longest-common-extension oracles (naive / Karp–Rabin /
 //!   RMQ-based), the substitute for Prezza's in-place LCE structure;
@@ -28,7 +25,6 @@ pub mod interval_tree;
 pub mod lce;
 pub mod lcp;
 pub mod naive;
-pub mod parallel;
 pub mod rmq;
 pub mod sais;
 pub mod search;
@@ -38,8 +34,7 @@ pub use esa::{lcp_intervals, LcpInterval};
 pub use interval_tree::EsaSearcher;
 pub use lce::{FingerprintLce, LceBackend, LceOracle, NaiveLce, RmqLce};
 pub use lcp::{lcp_array, lcp_array_threads};
-pub use parallel::{suffix_array_sharded, suffix_array_threads};
 pub use rmq::SparseTableRmq;
-pub use sais::{suffix_array, suffix_array_induced_threads, suffix_array_ints};
+pub use sais::{suffix_array, suffix_array_ints, suffix_array_threads};
 pub use search::{SaAccess, SuffixArraySearcher};
 pub use sparse::{sparse_suffix_array, SparseIndex};

@@ -6,21 +6,16 @@
 //! shifting the alphabet by one) so every recursion level enjoys the
 //! unique-smallest-last-character invariant, then drop it from the result.
 //!
-//! The induced-sorting sweeps are inherently sequential (every placement
-//! depends on earlier placements), but the two `O(n)` preparatory phases
-//! of the *top-level* call — suffix-type classification and the bucket
-//! histogram — are embarrassingly parallel over text blocks and are
-//! chunked across `std::thread::scope` workers by
-//! [`suffix_array_induced_threads`]. Recursion levels stay serial: the
-//! reduced strings are already a fraction of `n`. For the block-sharded
-//! construction that parallelises the sort itself, see
-//! [`crate::parallel`].
+//! Construction is serial. The induced-sorting sweeps are inherently
+//! sequential (every placement depends on earlier placements). Two
+//! parallel variants were measured on a 2-vCPU machine, over four 1
+//! Mi-letter documents, and dropped. Threading the top-level
+//! classification and bucket histogram saved nothing (104–139 ms serial
+//! against 112–137 ms). Sharding the sort over text blocks, with
+//! prefix-doubling merges, took 1.5–6× longer.
 
 /// Marker for an empty SA slot during induced sorting.
 const EMPTY: u32 = u32::MAX;
-
-/// Below this length the scoped-thread phases cost more than they save.
-const PARALLEL_PHASE_MIN_LEN: usize = 1 << 14;
 
 /// Builds the suffix array of `text`: the permutation `sa` of `[0, n)`
 /// such that `sa[i]` is the start of the `i`-th lexicographically smallest
@@ -32,15 +27,6 @@ const PARALLEL_PHASE_MIN_LEN: usize = 1 << 14;
 /// assert_eq!(suffix_array(b""), Vec::<u32>::new());
 /// ```
 pub fn suffix_array(text: &[u8]) -> Vec<u32> {
-    suffix_array_induced_threads(text, 1)
-}
-
-/// [`suffix_array`] with the top-level classification and bucket-counting
-/// phases chunked over up to `threads` scoped workers. The induced sort
-/// itself stays sequential, so this is the right tool when the text is
-/// too repetitive for the block-sharded path of [`crate::parallel`] (the
-/// output is identical either way: the suffix array is unique).
-pub fn suffix_array_induced_threads(text: &[u8], threads: usize) -> Vec<u32> {
     if text.is_empty() {
         return Vec::new();
     }
@@ -49,9 +35,21 @@ pub fn suffix_array_induced_threads(text: &[u8], threads: usize) -> Vec<u32> {
     let mut s: Vec<u32> = Vec::with_capacity(text.len() + 1);
     s.extend(text.iter().map(|&b| b as u32 + 1));
     s.push(0);
-    let sa = sais_impl(&s, 257, threads.max(1));
+    let sa = sais(&s, 257);
     // sa[0] is the sentinel suffix; drop it.
     sa[1..].to_vec()
+}
+
+/// [`suffix_array`], whatever `threads` is: construction is serial (see
+/// the module docs). Kept for callers that still pass a thread count.
+///
+/// ```
+/// use usi_suffix::{suffix_array, suffix_array_threads};
+/// let text = b"banana".repeat(30);
+/// assert_eq!(suffix_array_threads(&text, 4), suffix_array(&text));
+/// ```
+pub fn suffix_array_threads(text: &[u8], _threads: usize) -> Vec<u32> {
+    suffix_array(text)
 }
 
 /// Builds the suffix array of an *integer* string over the alphabet
@@ -84,95 +82,21 @@ pub fn suffix_array_ints(text: &[u32], sigma: usize) -> Vec<u32> {
 }
 
 /// Suffix-type classification: S-type (true) or L-type (false).
-///
-/// The right-to-left recurrence only chains through runs of equal
-/// letters, so with `threads > 1` the text is cut into blocks that are
-/// classified concurrently: inside a block every position whose letter
-/// differs from its successor is decided locally, and the one maximal
-/// equal-letter run touching the block's right edge is left pending.
-/// A serial right-to-left fix-up then fills each pending run with the
-/// type of the first position after it — exactly what the sequential
-/// recurrence would have propagated.
-fn classify(s: &[u32], threads: usize) -> Vec<bool> {
+fn classify(s: &[u32]) -> Vec<bool> {
     let n = s.len();
     let mut stype = vec![false; n];
     stype[n - 1] = true;
-    if threads <= 1 || n < PARALLEL_PHASE_MIN_LEN {
-        for i in (0..n - 1).rev() {
-            stype[i] = s[i] < s[i + 1] || (s[i] == s[i + 1] && stype[i + 1]);
-        }
-        return stype;
-    }
-
-    // Chunk positions 0..n-1 (stype[n-1] is fixed above).
-    let chunk = (n - 1).div_ceil(threads);
-    let (body, _sentinel) = stype.split_at_mut(n - 1);
-    // pending[c] = start of chunk c's unresolved equal-letter tail run
-    let pending: Vec<usize> = std::thread::scope(|scope| {
-        let handles: Vec<_> = body
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                scope.spawn(move || {
-                    let lo = ci * chunk;
-                    let hi = lo + slice.len();
-                    // the maximal run s[run_lo ..= hi] of equal letters
-                    let mut run_lo = hi;
-                    while run_lo > lo && s[run_lo - 1] == s[run_lo] {
-                        run_lo -= 1;
-                    }
-                    // below the run every type resolves locally: a
-                    // position with s[i] == s[i + 1] always has its
-                    // successor inside the resolved part of this chunk
-                    for i in (lo..run_lo).rev() {
-                        slice[i - lo] = s[i] < s[i + 1] || (s[i] == s[i + 1] && slice[i + 1 - lo]);
-                    }
-                    run_lo
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("classify worker panicked")).collect()
-    });
-    // serial fix-up, right to left: each pending run copies the type of
-    // the position just past the chunk (already final)
-    for (ci, &run_lo) in pending.iter().enumerate().rev() {
-        let hi = ((ci + 1) * chunk).min(n - 1);
-        let t = stype[hi];
-        stype[run_lo..hi].fill(t);
+    for i in (0..n - 1).rev() {
+        stype[i] = s[i] < s[i + 1] || (s[i] == s[i + 1] && stype[i + 1]);
     }
     stype
 }
 
-/// Letter histogram (bucket sizes), chunked over scoped workers when
-/// `threads > 1` and the merge of per-block counts is worth it.
-fn histogram(s: &[u32], sigma: usize, threads: usize) -> Vec<u32> {
+/// Letter histogram (bucket sizes).
+fn histogram(s: &[u32], sigma: usize) -> Vec<u32> {
     let mut bkt = vec![0u32; sigma];
-    if threads <= 1 || s.len() < PARALLEL_PHASE_MIN_LEN {
-        for &c in s {
-            bkt[c as usize] += 1;
-        }
-        return bkt;
-    }
-    let chunk = s.len().div_ceil(threads);
-    let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = s
-            .chunks(chunk)
-            .map(|block| {
-                scope.spawn(move || {
-                    let mut local = vec![0u32; sigma];
-                    for &c in block {
-                        local[c as usize] += 1;
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("histogram worker panicked")).collect()
-    });
-    for local in partials {
-        for (b, l) in bkt.iter_mut().zip(local) {
-            *b += l;
-        }
+    for &c in s {
+        bkt[c as usize] += 1;
     }
     bkt
 }
@@ -180,12 +104,6 @@ fn histogram(s: &[u32], sigma: usize, threads: usize) -> Vec<u32> {
 /// SA-IS over an integer string whose last character is the unique
 /// smallest (the sentinel invariant). `sigma` bounds the letter values.
 fn sais(s: &[u32], sigma: usize) -> Vec<u32> {
-    sais_impl(s, sigma, 1)
-}
-
-/// [`sais`] with the classification and bucket phases parallelised at
-/// this level; recursion levels run serially on their reduced strings.
-fn sais_impl(s: &[u32], sigma: usize, threads: usize) -> Vec<u32> {
     let n = s.len();
     debug_assert!(n >= 1);
     if n == 1 {
@@ -197,11 +115,11 @@ fn sais_impl(s: &[u32], sigma: usize, threads: usize) -> Vec<u32> {
     }
 
     // --- classify suffixes: S-type (true) or L-type (false) ---
-    let stype = classify(s, threads);
+    let stype = classify(s);
     let is_lms = |i: usize| i > 0 && stype[i] && !stype[i - 1];
 
     // --- bucket sizes ---
-    let bkt = histogram(s, sigma, threads);
+    let bkt = histogram(s, sigma);
     let bucket_heads = |bkt: &[u32]| {
         let mut heads = vec![0u32; bkt.len()];
         let mut acc = 0u32;

@@ -201,8 +201,9 @@ fn cmd_build(args: &Args) {
             .map(|s| s.parse().unwrap_or_else(|_| die("bad --seed")))
             .unwrap_or(0xbeef),
     );
-    // Parallel construction: output is byte-identical at any thread
-    // count (CI cmp-gates this), so --threads is purely a speed knob.
+    // Parallel construction (oracle counts and phase (ii)'s length
+    // groups): output is byte-identical at any thread count (CI
+    // cmp-gates this), so --threads is purely a speed knob.
     if let Some(t) = args.flag("threads") {
         builder = builder.with_threads(t.parse().unwrap_or_else(|_| die("bad --threads")));
     }

@@ -201,11 +201,19 @@ fn metrics_and_trace_reflect_real_traffic() {
         "wal appends:\n{metrics}"
     );
 
-    // index builds ran in-process (sample_index): build timings exist
+    // index builds ran in-process (sample_index): build timings exist,
+    // total and per construction phase
     assert!(
         sample(&metrics, "usi_index_build_seconds_count").is_some_and(|v| v >= 2.0),
         "build histogram:\n{metrics}"
     );
+    for phase in ["index", "topk", "populate"] {
+        let series = format!(r#"usi_index_build_phase_seconds_count{{phase="{phase}"}}"#);
+        assert!(
+            sample(&metrics, &series).is_some_and(|v| v >= 2.0),
+            "build phase {phase} histogram:\n{metrics}"
+        );
+    }
 
     // ---- /v1/trace: recent spans as JSON -------------------------------
     let (status, body) = get(addr, "/v1/trace");
