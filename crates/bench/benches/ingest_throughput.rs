@@ -1,16 +1,11 @@
-//! Steady-state append throughput: the segmented ingestion pipeline
-//! (`usi_ingest`: seal small segments, tier-merge in the background)
-//! against the epoch design it replaces (`DynamicUsi`: rebuild the
-//! whole index every threshold letters). Same input, same threshold —
-//! the difference is exactly the cost model the ISSUE motivates: the
-//! epoch design re-pays the full `O(n)` build on every threshold
-//! crossing, the segmented one pays `O(threshold)` per seal plus
-//! amortised tier merges.
+//! Steady-state append throughput of the segmented ingestion index
+//! (`usi_ingest`: seal small segments, tier-merge them): `O(threshold)`
+//! per seal plus amortised tier merges, never a whole-index rebuild.
 //!
 //! Tracked by the nightly gate via `ci/nightly-thresholds.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use usi_core::{DynamicUsi, UsiBuilder};
+use usi_core::UsiBuilder;
 use usi_datasets::Dataset;
 use usi_ingest::{IngestIndex, IngestOptions};
 
@@ -18,14 +13,13 @@ use usi_ingest::{IngestIndex, IngestOptions};
 const BASE: usize = 1 << 16; // 64 Ki
 /// Letters appended per measured iteration.
 const APPENDS: usize = 1 << 13; // 8 Ki
-/// Seal / rebuild threshold shared by both designs.
+/// Seal threshold.
 const THRESHOLD: usize = 1 << 10; // 1 Ki
 
 fn bench_append_throughput(c: &mut Criterion) {
     let base_ws = Dataset::Hum.generate(BASE, 17);
     let tail_ws = Dataset::Hum.generate(APPENDS, 18);
-    let builder = UsiBuilder::new().with_k(BASE / 200).deterministic(3);
-    let base = builder.build(base_ws.clone());
+    let base = UsiBuilder::new().with_k(BASE / 200).deterministic(3).build(base_ws);
 
     let mut group = c.benchmark_group("ingest_throughput");
     group.sample_size(5);
@@ -45,16 +39,6 @@ fn bench_append_throughput(c: &mut Criterion) {
                 idx.push(letter, weight);
             }
             idx.compact_to_quiescence();
-            idx.len()
-        })
-    });
-
-    group.bench_function("epoch_rebuild_append", |b| {
-        b.iter(|| {
-            let mut idx = DynamicUsi::new(builder.clone(), base_ws.clone(), THRESHOLD);
-            for (&letter, &weight) in tail_ws.text().iter().zip(tail_ws.weights()) {
-                idx.push(letter, weight);
-            }
             idx.len()
         })
     });

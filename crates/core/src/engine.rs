@@ -7,16 +7,18 @@
 //! implements it, and consumers (the server's `Doc`, the CLI, tests)
 //! dispatch through `&dyn QueryEngine` without caring whether the
 //! answers come from owned heap structures, a memory-mapped `.usix`
-//! view, an epoch-rebuilding [`crate::DynamicUsi`], or a segmented
-//! ingestion index.
+//! view, a segmented ingestion index, a replica or another server.
 //!
 //! Implementations in this workspace:
 //!
 //! * [`UsiIndex`] — the frozen index, either backing;
-//! * [`crate::DynamicUsi`] — append-only with epoch rebuilds;
 //! * `usi_ingest::IngestIndex` / `usi_ingest::IngestPipeline` — the
 //!   segmented append log (the pipeline locks internally, so it
-//!   implements the trait directly on `&self`).
+//!   implements the trait directly on `&self`);
+//! * `usi_repl::FollowerDoc` — a replica replaying a primary's shipped
+//!   WAL records into its own `IngestIndex`;
+//! * `usi_repl::RemoteDoc` — a document served by another `usi serve`
+//!   process, queried over HTTP.
 
 use crate::index::{IndexSize, QuerySource, UsiIndex, UsiQuery};
 use usi_strings::{GlobalUtility, UtilityAccumulator};

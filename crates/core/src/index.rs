@@ -309,8 +309,8 @@ impl UsiIndex {
     }
 
     /// Like [`UsiIndex::query`], but returns the raw accumulator so
-    /// callers (e.g. the dynamic index) can merge further occurrences
-    /// before extracting an aggregate.
+    /// callers (e.g. the segmented ingestion index) can merge further
+    /// occurrences before extracting an aggregate.
     pub fn query_accumulator(&self, pattern: &[u8]) -> (UtilityAccumulator, QuerySource) {
         match &self.payload {
             Payload::Owned { ws, sa, .. } => {

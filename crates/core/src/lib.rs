@@ -21,7 +21,6 @@
 //! * [`index`] / [`builder`] — the `USI_TOP-K` data structure of
 //!   Section IV;
 //! * [`metrics`] — Accuracy, Relative Error and NDCG (Section IX-B);
-//! * [`dynamic`] — an append-only dynamic variant (Section X);
 //! * [`merge`] — the shared semantics for combining per-part answers
 //!   (the server's cross-document fan-out, the ingestion layer's
 //!   per-segment results);
@@ -29,12 +28,11 @@
 //!   zero-copy (memory-mapped) storage views behind
 //!   [`persist::open_mmap`];
 //! * [`engine`] — the [`QueryEngine`] trait every backend (frozen,
-//!   dynamic, segmented-ingest) implements, so consumers dispatch
-//!   without knowing the concrete type.
+//!   segmented-ingest, replicated, remote) implements, so consumers
+//!   dispatch without knowing the concrete type.
 
 pub mod approx;
 pub mod builder;
-pub mod dynamic;
 pub mod engine;
 pub mod index;
 pub mod merge;
@@ -46,7 +44,6 @@ pub mod topk;
 
 pub use approx::{approximate_top_k, ApproxConfig, ApproxResult};
 pub use builder::{BuildOptions, TopKStrategy, UsiBuilder};
-pub use dynamic::DynamicUsi;
 pub use engine::QueryEngine;
 pub use index::{BuildStats, QuerySource, UsiIndex, UsiQuery};
 pub use merge::{merge_accumulators, merged_total};

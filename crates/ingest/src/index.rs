@@ -1,13 +1,11 @@
 //! The segmented append-only index: base + sealed segments + live tail.
 //!
 //! The paper defers true online maintenance of `USI_TOP-K` ("can in
-//! general be very costly"); `usi_core::DynamicUsi` works around that
-//! with one tail buffer and whole-index epoch rebuilds. This module
-//! replaces the monolithic rebuild with an LSM-style layout:
+//! general be very costly"). This module keeps appends cheap without
+//! ever rebuilding the whole index, with an LSM-style layout:
 //!
 //! * a frozen **base** [`UsiIndex`] covers the original document;
-//! * appended letters land in an in-memory **tail** (exactly the
-//!   `DynamicUsi` tail);
+//! * appended letters land in an in-memory **tail**;
 //! * when the tail crosses `seal_threshold` it is **sealed** into an
 //!   immutable generation-0 segment — a small `UsiIndex` built with
 //!   `BuildOptions { threads }` — instead of rebuilding everything;
@@ -89,6 +87,30 @@ impl IngestOptions {
         self.threads = self.threads.max(1);
         self
     }
+}
+
+/// Checks one append batch against the index's local window before
+/// anything durable or shared changes: one weight per letter, every
+/// weight finite, and, under [`LocalWindow::Product`], every weight
+/// `> 0` (a segment build takes the weights' logarithms, so a zero or
+/// negative weight would make the seal panic). The `Err` names the
+/// first offending offset.
+pub fn check_append(text: &[u8], weights: &[f64], local: LocalWindow) -> Result<(), String> {
+    if text.len() != weights.len() {
+        return Err(format!("{} letters with {} weights", text.len(), weights.len()));
+    }
+    if let Some(i) = weights.iter().position(|w| !w.is_finite()) {
+        return Err(format!("non-finite weight at offset {i}"));
+    }
+    if local == LocalWindow::Product {
+        if let Some(i) = weights.iter().position(|&w| w <= 0.0) {
+            return Err(format!(
+                "weight {} at offset {i} is not positive, as a product local requires",
+                weights[i]
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// One immutable sealed segment.
@@ -313,8 +335,9 @@ impl IngestIndex {
     /// Appends a batch of weighted letters.
     ///
     /// # Panics
-    /// Panics if the slice lengths differ (callers validate input at
-    /// the API boundary).
+    /// Panics if the slice lengths differ, and a seal panics on a weight
+    /// [`check_append`] refuses (callers validate input at the API
+    /// boundary).
     pub fn append(&mut self, text: &[u8], weights: &[f64]) {
         assert_eq!(text.len(), weights.len(), "one weight per appended letter");
         for (&letter, &weight) in text.iter().zip(weights) {
@@ -472,7 +495,7 @@ impl IngestIndex {
     /// Like [`IngestIndex::query`] but returns the raw accumulator, so
     /// multi-document callers (the serving layer's fan-out) can merge
     /// further occurrences before extracting an aggregate. The reported
-    /// [`QuerySource`] is the base index's (matching `DynamicUsi`).
+    /// [`QuerySource`] is the base index's.
     pub fn query_accumulator(&self, pattern: &[u8]) -> (UtilityAccumulator, QuerySource) {
         let m = pattern.len();
         if m == 0 || m > self.len() {

@@ -3,11 +3,10 @@
 //! "online maintenance" problem.
 //!
 //! The paper observes that maintaining `USI_TOP-K` under appends "can
-//! in general be very costly" and defers it; `usi_core::DynamicUsi`
-//! answers with whole-index epoch rebuilds — fine for one document, a
-//! dead end for a served corpus (every append eventually stalls behind
-//! a full rebuild, and nothing survives a crash). This crate replaces
-//! that with an LSM-style pipeline per document:
+//! in general be very costly" and defers it (Section X). This crate
+//! answers with an LSM-style pipeline per document (O'Neil et al., Acta
+//! Informatica 1996): appends never rebuild the whole index, and every
+//! acknowledged append survives a crash.
 //!
 //! * [`wal`] — the `.usil` write-ahead log: length-prefixed,
 //!   CRC-checked records, fsync'd before acknowledgement, with clean
@@ -47,7 +46,7 @@ pub(crate) mod metrics;
 pub mod pipeline;
 pub mod wal;
 
-pub use index::{CompactionPlan, IngestIndex, IngestOptions, Segment};
+pub use index::{check_append, CompactionPlan, IngestIndex, IngestOptions, Segment};
 pub use pipeline::{IngestConfig, IngestError, IngestPipeline, IngestStats};
 pub use wal::{
     parse_record_at, read_tail, replay_bytes, replay_file, Replay, TailChunk, Wal, WalError,

@@ -15,8 +15,7 @@
 //! [`CompactionPlan`](crate::index::CompactionPlan) under a read lock,
 //! builds the merged segment **off-lock** (queries and appends proceed
 //! meanwhile), and installs it under a brief write lock — so the write
-//! path never stalls behind a rebuild, the failure mode that motivated
-//! replacing `DynamicUsi`'s epoch design.
+//! path never stalls behind a merge build.
 //!
 //! Crash recovery: [`IngestPipeline::open`] replays the log over the
 //! base index (truncating a torn tail first). Replay re-runs the same
@@ -24,7 +23,7 @@
 //! any compaction schedule answers identically, so the recovered
 //! pipeline is observationally the pre-crash one.
 
-use crate::index::{IngestIndex, IngestOptions};
+use crate::index::{check_append, IngestIndex, IngestOptions};
 use crate::wal::{Replay, Wal, WalError};
 use std::io;
 use std::path::Path;
@@ -33,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use usi_core::{QuerySource, UsiIndex, UsiQuery};
-use usi_strings::UtilityAccumulator;
+use usi_strings::{LocalWindow, UtilityAccumulator};
 
 /// Pipeline configuration: the in-memory knobs plus durability and
 /// threading choices.
@@ -94,7 +93,8 @@ pub enum IngestError {
     Wal(WalError),
     /// WAL write failure (the in-memory state was **not** changed).
     Io(io::Error),
-    /// Invalid input (mismatched lengths, non-finite weight).
+    /// Invalid input (see [`check_append`]), in an append or in a
+    /// replayed log record.
     Input(String),
 }
 
@@ -157,6 +157,8 @@ struct CompactorSignal {
 pub struct IngestPipeline {
     state: Arc<RwLock<IngestIndex>>,
     wal: Mutex<Wal>,
+    /// The base's local window, which every append is checked against.
+    local: LocalWindow,
     background: bool,
     signal: Arc<CompactorSignal>,
     shutdown: Arc<AtomicBool>,
@@ -168,7 +170,8 @@ impl IngestPipeline {
     /// the log at `wal_path`, and — with `background_compaction` —
     /// starts the compactor thread. Returns the pipeline and the
     /// replay report (how many records were recovered, whether a torn
-    /// tail was dropped).
+    /// tail was dropped). A replayed record that [`check_append`]
+    /// refuses fails the open with [`IngestError::Input`] naming it.
     pub fn open(
         base: UsiIndex,
         wal_path: &Path,
@@ -178,8 +181,16 @@ impl IngestPipeline {
             std::fs::create_dir_all(dir)?;
         }
         let (wal, replay) = Wal::open(wal_path, config.sync_wal)?;
+        let local = base.utility().local;
         let mut index = IngestIndex::new(base, config.options());
-        for record in &replay.records {
+        for (i, record) in replay.records.iter().enumerate() {
+            check_append(&record.text, &record.weights, local).map_err(|what| {
+                IngestError::Input(format!(
+                    "log record {} of {}: {what}",
+                    i + 1,
+                    replay.records.len()
+                ))
+            })?;
             index.append(&record.text, &record.weights);
         }
         if !config.background_compaction {
@@ -196,6 +207,7 @@ impl IngestPipeline {
         let pipeline = Self {
             state,
             wal: Mutex::new(wal),
+            local,
             background: config.background_compaction,
             signal,
             shutdown,
@@ -256,16 +268,7 @@ impl IngestPipeline {
     /// the default config), then memory, then compaction. On `Err` the
     /// in-memory state is unchanged; on `Ok` the append is durable.
     pub fn append(&self, text: &[u8], weights: &[f64]) -> Result<(), IngestError> {
-        if text.len() != weights.len() {
-            return Err(IngestError::Input(format!(
-                "{} letters with {} weights",
-                text.len(),
-                weights.len()
-            )));
-        }
-        if let Some(i) = weights.iter().position(|w| !w.is_finite()) {
-            return Err(IngestError::Input(format!("non-finite weight at offset {i}")));
-        }
+        check_append(text, weights, self.local).map_err(IngestError::Input)?;
         if text.is_empty() {
             return Ok(());
         }
@@ -523,6 +526,51 @@ mod tests {
         pipeline.append(b"", &[]).unwrap(); // no-op, not an error
         assert_eq!(pipeline.stats().n, n0);
         assert_eq!(pipeline.stats().wal_bytes, crate::wal::MAGIC.len() as u64);
+    }
+
+    fn product_base() -> UsiIndex {
+        UsiBuilder::new()
+            .with_k(4)
+            .with_local_window(LocalWindow::Product)
+            .deterministic(6)
+            .build(WeightedString::uniform(b"abcabc".to_vec(), 0.5))
+    }
+
+    #[test]
+    fn non_positive_weights_on_a_product_doc_are_refused() {
+        let path = tmp("product.usil");
+        let _ = std::fs::remove_file(&path);
+        let (pipeline, _) = IngestPipeline::open(product_base(), &path, config()).unwrap();
+        let before = pipeline.query(b"abc");
+        // eight letters fill the tail to the seal threshold: were they
+        // accepted, the seal would take ln(0) or ln(-1)
+        for weight in [0.0, -1.0] {
+            let refused = pipeline.append_uniform(b"abababab", weight);
+            assert!(matches!(refused, Err(IngestError::Input(_))), "weight {weight}: {refused:?}");
+        }
+        assert_eq!(pipeline.stats().wal_bytes, crate::wal::MAGIC.len() as u64);
+        assert_eq!(pipeline.stats().n, 6);
+        assert_eq!(pipeline.query(b"abc"), before);
+        // the document keeps taking valid appends
+        pipeline.append_uniform(b"abababab", 0.5).unwrap();
+        assert_eq!(pipeline.stats().seals, 1);
+        assert_eq!(pipeline.query(b"ab").occurrences, 6);
+    }
+
+    #[test]
+    fn replaying_a_non_positive_product_weight_is_an_error() {
+        // a log written before appends were checked against the local
+        let path = tmp("product-replay.usil");
+        let _ = std::fs::remove_file(&path);
+        let (mut wal, _) = Wal::open(&path, false).unwrap();
+        wal.append(b"cab", &[0.5; 3]).unwrap();
+        wal.append(b"abababab", &[0.0; 8]).unwrap();
+        drop(wal);
+        let Err(IngestError::Input(what)) = IngestPipeline::open(product_base(), &path, config())
+        else {
+            panic!("the replay must refuse the zero weight");
+        };
+        assert!(what.contains("record 2 of 2"), "{what}");
     }
 
     #[test]

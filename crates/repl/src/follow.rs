@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use usi_core::index::IndexSize;
 use usi_core::{QueryEngine, QuerySource, UsiIndex, UsiQuery};
 use usi_ingest::wal;
-use usi_ingest::{IngestIndex, IngestOptions};
+use usi_ingest::{check_append, IngestIndex, IngestOptions};
 use usi_strings::{GlobalUtility, UtilityAccumulator};
 
 /// Where a follower's records come from.
@@ -166,8 +166,9 @@ impl FollowerDoc {
 
     /// Applies a chunk of raw WAL record bytes starting at WAL offset
     /// `start`. Every record is re-parsed (and CRC-verified) with the
-    /// WAL's own parser; the chunk must continue exactly at the applied
-    /// offset and contain only whole records.
+    /// WAL's own parser and checked with [`check_append`]; the chunk
+    /// must continue exactly at the applied offset and contain only
+    /// whole, valid records, or nothing of it is applied.
     pub fn apply_records(&self, start: u64, bytes: &[u8]) -> io::Result<u64> {
         let applied = self.applied_bytes.load(Ordering::SeqCst);
         if start != applied {
@@ -176,6 +177,7 @@ impl FollowerDoc {
                 format!("records start at WAL byte {start} but {applied} is next to apply"),
             ));
         }
+        let local = self.with_state(|s| s.utility().local);
         let mut records = Vec::new();
         let mut pos = 0;
         while pos < bytes.len() {
@@ -185,6 +187,12 @@ impl FollowerDoc {
                     format!("corrupt shipped record at chunk byte {pos} (CRC or framing)"),
                 ));
             };
+            check_append(&record.text, &record.weights, local).map_err(|what| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("invalid shipped record at chunk byte {pos}: {what}"),
+                )
+            })?;
             records.push(record);
             pos = next;
         }
@@ -503,6 +511,29 @@ mod tests {
         let n_before = doc.indexed_len();
         assert!(doc.apply_records(doc.applied_bytes(), &corrupt).is_err());
         assert_eq!(doc.indexed_len(), n_before);
+    }
+
+    #[test]
+    fn non_positive_product_weights_are_refused_whole() {
+        let product = UsiBuilder::new()
+            .with_k(8)
+            .with_local_window(usi_strings::LocalWindow::Product)
+            .deterministic(4)
+            .build(WeightedString::uniform(b"abcabc".to_vec(), 0.5));
+        let doc = FollowerDoc::new("p", product, opts());
+        let (n0, start) = (doc.indexed_len(), doc.applied_bytes());
+        // a valid record, then sixteen letters that would fill the tail
+        // to the seal threshold with ln(0)
+        let bytes = wal_bytes(&[(b"cab", vec![0.5; 3]), (b"abababababababab", vec![0.0; 16])]);
+        let refused = doc.apply_records(start, &bytes).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(doc.indexed_len(), n0, "nothing of the chunk applies");
+        assert_eq!((doc.applied_bytes(), doc.applied_records()), (start, 0));
+        // the document still serves, and takes a valid chunk at the same offset
+        assert_eq!(doc.query(b"abc").occurrences, 2);
+        let valid = wal_bytes(&[(b"abababababababab", vec![0.5; 16])]);
+        assert_eq!(doc.apply_records(start, &valid).unwrap(), 1);
+        assert_eq!(doc.indexed_len(), n0 + 16);
     }
 
     #[test]

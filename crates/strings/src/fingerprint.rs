@@ -18,8 +18,7 @@
 //! * [`RollingWindow`] — all length-`ℓ` windows of a text in `O(1)` per
 //!   slide (used in construction phase (ii));
 //! * [`FingerprintTable`] — `O(n)` prefix table answering the fingerprint
-//!   of any `S[i..j)` in `O(1)` (used by the fingerprint LCE backend and
-//!   the dynamic extension).
+//!   of any `S[i..j)` in `O(1)` (used by the fingerprint LCE backend).
 
 use crate::HeapSize;
 use rand::Rng;
@@ -279,14 +278,6 @@ impl FingerprintTable {
         debug_assert!(i <= j && j < self.prefix.len());
         sub_mod(self.prefix[j], mul_mod(self.prefix[i], self.pow[j - i]))
     }
-
-    /// Appends one letter, extending the table (dynamic USI, Section X).
-    pub fn push(&mut self, b: u8) {
-        let h = add_mod(mul_mod(*self.prefix.last().unwrap(), self.fp.base), letter(b));
-        let p = mul_mod(*self.pow.last().unwrap(), self.fp.base);
-        self.prefix.push(h);
-        self.pow.push(p);
-    }
 }
 
 impl HeapSize for FingerprintTable {
@@ -385,18 +376,6 @@ mod tests {
                 assert_eq!(t.substring(i, j), f.fingerprint(&text[i..j]));
             }
         }
-    }
-
-    #[test]
-    fn table_push_extends() {
-        let f = fp();
-        let mut t = f.table(b"abra");
-        for &b in b"cadabra" {
-            t.push(b);
-        }
-        let full = f.table(b"abracadabra");
-        assert_eq!(t.substring(0, 11), full.substring(0, 11));
-        assert_eq!(t.substring(3, 9), full.substring(3, 9));
     }
 
     #[test]

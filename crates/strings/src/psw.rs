@@ -76,15 +76,6 @@ impl Psw {
     pub fn total(&self) -> f64 {
         *self.sums.last().unwrap()
     }
-
-    /// Appends one weight (dynamic USI, Section X: "we extend PSW by one
-    /// position, storing the sum of the utility of α and the former last
-    /// entry").
-    #[inline]
-    pub fn push(&mut self, w: f64) {
-        let last = *self.sums.last().unwrap();
-        self.sums.push(last + w);
-    }
 }
 
 impl HeapSize for Psw {
@@ -191,17 +182,6 @@ impl LocalIndex {
             LocalWindow::Product => self.psw.local(i, len).exp(),
         }
     }
-
-    /// Appends one weight (dynamic appends).
-    pub fn push(&mut self, w: f64) {
-        match self.kind {
-            LocalWindow::Sum => self.psw.push(w),
-            LocalWindow::Product => {
-                assert!(w > 0.0, "product locals require strictly positive weights");
-                self.psw.push(w.ln());
-            }
-        }
-    }
 }
 
 impl HeapSize for LocalIndex {
@@ -253,15 +233,6 @@ mod tests {
         assert!((u1 - 8.7).abs() < 1e-9);
         assert!((u2 - 5.9).abs() < 1e-9);
         assert!((u1 + u2 - 14.6).abs() < 1e-9); // U(P) from Example 1
-    }
-
-    #[test]
-    fn push_matches_rebuild() {
-        let mut psw = Psw::new(&[1.0, 2.0]);
-        psw.push(3.0);
-        psw.push(0.5);
-        let rebuilt = Psw::new(&[1.0, 2.0, 3.0, 0.5]);
-        assert_eq!(psw, rebuilt);
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub use usi_suffix as suffix;
 /// The most common imports in one place.
 pub mod prelude {
     pub use usi_core::{
-        approximate_top_k, exact_top_k, ApproxConfig, DynamicUsi, QuerySource, TopKOracle,
-        TopKStrategy, UsiBuilder, UsiIndex, UsiQuery,
+        approximate_top_k, exact_top_k, ApproxConfig, QuerySource, TopKOracle, TopKStrategy,
+        UsiBuilder, UsiIndex, UsiQuery,
     };
     pub use usi_ingest::{IngestConfig, IngestIndex, IngestOptions, IngestPipeline};
     pub use usi_server::{Catalog, ServerConfig};

@@ -1,5 +1,6 @@
-//! Dynamic USI (Section X): appends must preserve exact answers at all
-//! times, across epoch boundaries, on realistic corpora.
+//! Dynamic USI (Section X): appends to an `IngestIndex` must preserve
+//! exact answers at all times, across seals and tier merges, on
+//! realistic corpora.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -10,10 +11,10 @@ use usi::prelude::*;
 fn streaming_appends_stay_exact_across_epochs() {
     let history = Dataset::Iot.generate(3_000, 151);
     let live = Dataset::Iot.generate(1_500, 152);
-    let mut index = DynamicUsi::new(
-        UsiBuilder::new().with_k(60).deterministic(153),
-        history.clone(),
-        500, // several epoch rebuilds over the stream
+    let mut index = IngestIndex::new(
+        UsiBuilder::new().with_k(60).deterministic(153).build(history.clone()),
+        // several seals over the stream, merged pairwise
+        IngestOptions { seal_threshold: 500, compact_fanout: 2, ..IngestOptions::default() },
     );
 
     let mut shadow_text = history.text().to_vec();
@@ -22,6 +23,7 @@ fn streaming_appends_stay_exact_across_epochs() {
 
     for (i, (&b, &w)) in live.text().iter().zip(live.weights()).enumerate() {
         index.push(b, w);
+        index.compact_to_quiescence();
         shadow_text.push(b);
         shadow_weights.push(w);
         if i % 250 == 37 {
@@ -49,26 +51,27 @@ fn streaming_appends_stay_exact_across_epochs() {
             }
         }
     }
-    assert!(index.rebuilds() >= 2, "epochs never fired");
+    assert!(index.seals() >= 2, "the tail never sealed");
+    assert!(index.compactions() >= 1, "segments never merged");
     assert_eq!(index.len(), 4_500);
 }
 
 #[test]
-fn manual_rebuild_is_transparent() {
+fn manual_seal_is_transparent() {
     let ws = Dataset::Adv.generate(2_000, 161);
-    let mut index = DynamicUsi::new(
-        UsiBuilder::new().with_k(40).deterministic(163),
-        ws,
-        1_000_000, // no automatic rebuilds
+    let mut index = IngestIndex::new(
+        UsiBuilder::new().with_k(40).deterministic(163).build(ws),
+        IngestOptions { seal_threshold: 1_000_000, ..IngestOptions::default() }, // no automatic seals
     );
     for b in b"abcabcabc" {
         index.push(*b, 0.5);
     }
     let pat = b"abcabc".to_vec();
     let before = index.query(&pat);
-    index.rebuild();
+    index.seal();
     let after = index.query(&pat);
     assert_eq!(before.occurrences, after.occurrences);
     assert!((before.value.unwrap() - after.value.unwrap()).abs() < 1e-9);
     assert_eq!(index.tail_len(), 0);
+    assert_eq!(index.seals(), 1);
 }

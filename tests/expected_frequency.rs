@@ -95,10 +95,13 @@ fn expected_frequency_survives_persistence() {
 #[test]
 fn dynamic_appends_with_product_locals() {
     let ws = dna_with_probabilities(300, 331);
-    let mut idx = DynamicUsi::new(
-        UsiBuilder::new().with_k(20).with_local_window(LocalWindow::Product).deterministic(333),
-        ws.clone(),
-        1_000,
+    let mut idx = IngestIndex::new(
+        UsiBuilder::new()
+            .with_k(20)
+            .with_local_window(LocalWindow::Product)
+            .deterministic(333)
+            .build(ws.clone()),
+        IngestOptions { seal_threshold: 16, compact_fanout: 2, ..IngestOptions::default() },
     );
     let mut rng = StdRng::seed_from_u64(335);
     let mut shadow_text = ws.text().to_vec();
@@ -107,9 +110,14 @@ fn dynamic_appends_with_product_locals() {
         let b = b"ACGT"[rng.gen_range(0..4)];
         let w = rng.gen_range(0.8..1.0);
         idx.push(b, w);
+        idx.compact_to_quiescence();
         shadow_text.push(b);
         shadow_weights.push(w);
     }
+    // segments are product-local indexes of their own, and the boundary
+    // scan multiplies the weights of every occurrence it stitches in
+    assert!(idx.seals() > 0, "the tail never sealed");
+    assert!(idx.compactions() > 0, "segments never merged");
     let shadow = WeightedString::new(shadow_text, shadow_weights).unwrap();
     for _ in 0..40 {
         let m = rng.gen_range(1..6usize);

@@ -190,3 +190,44 @@ fn http_appends_survive_a_server_kill() {
         assert_eq!(got.value, want.value, "pattern {pattern:?}");
     }
 }
+
+#[test]
+fn non_positive_product_weight_gets_a_400_and_the_doc_keeps_serving() {
+    let dir = tmp_dir("product-weight");
+    let wal_path = dir.join("doc.usil");
+    let _ = std::fs::remove_file(&wal_path);
+    let base = UsiBuilder::new()
+        .with_k(10)
+        .with_local_window(usi::strings::LocalWindow::Product)
+        .deterministic(1)
+        .build(WeightedString::uniform(b"abcabcabcabc".to_vec(), 0.5));
+    let config = IngestConfig { seal_threshold: 8, ..IngestConfig::default() };
+    let catalog = Arc::new(Catalog::new(2));
+    let (pipeline, _) = IngestPipeline::open(base.clone(), &wal_path, config.clone()).unwrap();
+    catalog.insert_ingest("doc", pipeline);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let handle = serve(Arc::clone(&catalog), listener, ServerConfig::with_workers(2)).unwrap();
+    let addr = handle.addr();
+
+    let query = r#"{"doc":"doc","patterns":["abc","ab"]}"#;
+    let (status, answers) = post(addr, "/v1/query", query);
+    assert_eq!(status, 200, "{answers}");
+    // no product segment can be built over a zero or negative weight,
+    // and eight letters would seal at once
+    for body in [r#"{"text":"abababab","weight":0}"#, r#"{"text":"ab","weights":[0.5,-1]}"#] {
+        let (status, reply) = post(addr, "/v1/docs/doc/append", body);
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert!(reply.contains("not positive"), "{reply}");
+    }
+    // the document keeps answering, unchanged, and still takes appends
+    assert_eq!(post(addr, "/v1/query", query), (200, answers));
+    let (status, reply) = post(addr, "/v1/docs/doc/append", r#"{"text":"abababab","weight":0.5}"#);
+    assert_eq!(status, 200, "{reply}");
+    handle.shutdown();
+    drop(catalog);
+
+    // only the valid append reached the log, so a restart replays cleanly
+    let (recovered, replay) = IngestPipeline::open(base, &wal_path, config).unwrap();
+    assert_eq!(replay.records.len(), 1);
+    assert_eq!(recovered.query(b"ab").occurrences, 4 + 4);
+}
