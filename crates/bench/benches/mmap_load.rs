@@ -1,10 +1,9 @@
-//! Cold-load latency of a persisted index: the owned stream load
-//! (`read_from`, which copies every section onto the heap and
-//! revalidates it) against the zero-copy storage view (`open_mmap`,
-//! which validates in place and only materialises `PSW`). The gap is
-//! the whole point of the storage redesign: open time stops scaling
-//! with the bytes it no longer copies, so a catalog of N corpora
-//! cold-starts in O(N · validation) instead of O(total bytes copied).
+//! Cold-load latency of a persisted index through its two backings:
+//! the heap load (`read_from`, which reads the file's bytes onto the
+//! heap) and the file mapping (`open_mmap`). Both then run the one
+//! validator, `from_storage`, and materialise only `PSW`, so the gap
+//! is the copy the mapping skips: open time stops scaling with bytes,
+//! and a catalog of N corpora cold-starts in O(N · validation).
 //!
 //! Also measures the first query after each load kind, so the page-in
 //! cost the mapping defers is visible rather than hidden.

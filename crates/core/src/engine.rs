@@ -6,8 +6,9 @@
 //! anything that can answer `U(P)` queries over a weighted string
 //! implements it, and consumers (the server's `Doc`, the CLI, tests)
 //! dispatch through `&dyn QueryEngine` without caring whether the
-//! answers come from owned heap structures, a memory-mapped `.usix`
-//! view, a segmented ingestion index, a replica or another server.
+//! answers come from owned heap structures, a `.usix` storage view
+//! (mapped or read onto the heap), a segmented ingestion index, a
+//! replica or another server.
 //!
 //! Implementations in this workspace:
 //!

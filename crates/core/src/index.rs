@@ -118,20 +118,24 @@ impl IndexSize {
 type HKey = (u32, u64);
 
 /// What actually holds the payload sections (text, weights, suffix
-/// array, cached-substring table): owned heap structures for built or
-/// stream-loaded indexes, or typed slices over an
-/// [`crate::storage::IndexStorage`] for zero-copy loads
-/// ([`crate::persist::open_mmap`]). Both backings answer every query
-/// byte-identically (proptested in `tests/storage_equivalence.rs`).
+/// array, cached-substring table): owned heap structures for indexes
+/// built in this process, or typed slices over an
+/// [`crate::storage::IndexStorage`] for every index loaded from a
+/// `.usix` file, mapped ([`crate::persist::open_mmap`]) or read onto
+/// the heap ([`UsiIndex::read_from`]). Both backings answer every
+/// query byte-identically (proptested in
+/// `tests/storage_equivalence.rs`).
 #[derive(Debug, Clone)]
 enum Payload {
     Owned { ws: WeightedString, sa: Vec<u32>, h: FxHashMap<HKey, UtilityAccumulator> },
     View(IndexView),
 }
 
-/// The `USI_TOP-K` index. Build through [`crate::builder::UsiBuilder`],
-/// load owned with [`UsiIndex::read_from`], or load zero-copy with
-/// [`crate::persist::open_mmap`].
+/// The `USI_TOP-K` index. Build through [`crate::builder::UsiBuilder`];
+/// load a `.usix` file with [`crate::persist::open_mmap`] (a file
+/// mapping) or [`UsiIndex::read_from`] (the bytes on the heap). Both
+/// loads validate through [`UsiIndex::from_storage`] and answer from
+/// the same storage view.
 #[derive(Debug, Clone)]
 pub struct UsiIndex {
     payload: Payload,
@@ -274,9 +278,9 @@ impl UsiIndex {
     }
 
     /// Index-size breakdown. For storage-backed indexes the text,
-    /// weights, suffix-array and hash-table numbers are the mapped
-    /// section sizes (paged in lazily by the kernel); only `psw` is
-    /// resident heap.
+    /// weights, suffix-array and hash-table numbers are the section
+    /// sizes in the backing bytes (paged in lazily by the kernel when
+    /// mapped); `psw` is the one structure built on load.
     pub fn size_breakdown(&self) -> IndexSize {
         match &self.payload {
             Payload::Owned { ws, sa, h } => IndexSize {

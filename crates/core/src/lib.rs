@@ -25,8 +25,9 @@
 //!   (the server's cross-document fan-out, the ingestion layer's
 //!   per-segment results);
 //! * [`storage`] / [`persist`] — the byte-stable `.usix` format and the
-//!   zero-copy (memory-mapped) storage views behind
-//!   [`persist::open_mmap`];
+//!   zero-copy storage views every load answers from, over a file
+//!   mapping ([`persist::open_mmap`]) or heap bytes
+//!   ([`UsiIndex::read_from`]);
 //! * [`engine`] — the [`QueryEngine`] trait every backend (frozen,
 //!   segmented-ingest, replicated, remote) implements, so consumers
 //!   dispatch without knowing the concrete type.

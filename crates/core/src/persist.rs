@@ -1,6 +1,6 @@
 //! Index persistence: a versioned little-endian binary format for
-//! [`UsiIndex`], so a built index can be saved once and memory-mapped or
-//! streamed back without re-running construction.
+//! [`UsiIndex`], so a built index can be saved once and loaded back,
+//! memory-mapped or onto the heap, without re-running construction.
 //!
 //! Layout (`USIX` format, version 1):
 //!
@@ -21,18 +21,21 @@
 //! u64    k_requested; u64 k_stored; u32 tau (u32::MAX = none); u64 L_K
 //! ```
 //!
-//! Readers validate the magic, version, aggregator tag, base range and
-//! the suffix-array permutation property, so a truncated or corrupted
-//! file fails loudly instead of producing wrong answers.
+//! There is one reader, [`UsiIndex::from_storage`]. [`open_mmap`] hands
+//! it a file mapping and [`UsiIndex::read_from`] hands it the stream's
+//! bytes on the heap; either way the result answers from the same
+//! storage view. It checks the exact file size before it trusts any
+//! count, then the tags, the base range, the weights, the suffix-array
+//! permutation property and the order of `H`, so a truncated or
+//! corrupted file fails loudly instead of producing wrong answers or
+//! asking for memory it names but does not hold.
 
 use crate::index::{BuildStats, UsiIndex};
 use crate::storage::{IndexStorage, IndexView, H_ENTRY_BYTES};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
-use usi_strings::{
-    Fingerprinter, FxHashMap, GlobalUtility, LocalIndex, UtilityAccumulator, WeightedString,
-};
+use usi_strings::{Fingerprinter, GlobalUtility, LocalIndex};
 
 const MAGIC: [u8; 8] = *b"USIX\x01\x00\x00\x00";
 
@@ -90,31 +93,6 @@ impl<W: Write> Writer<'_, W> {
     }
 }
 
-struct Reader<'r, R: Read>(&'r mut R);
-
-impl<R: Read> Reader<'_, R> {
-    fn u8(&mut self) -> io::Result<u8> {
-        let mut b = [0u8; 1];
-        self.0.read_exact(&mut b)?;
-        Ok(b[0])
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        let mut b = [0u8; 4];
-        self.0.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        let mut b = [0u8; 8];
-        self.0.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-    fn f64(&mut self) -> io::Result<f64> {
-        let mut b = [0u8; 8];
-        self.0.read_exact(&mut b)?;
-        Ok(f64::from_le_bytes(b))
-    }
-}
-
 impl UsiIndex {
     /// Serialises the index in `USIX` v1 format.
     pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
@@ -155,119 +133,37 @@ impl UsiIndex {
         Ok(())
     }
 
-    /// Deserialises an index written by [`UsiIndex::write_to`],
-    /// revalidating structural invariants.
+    /// Deserialises an index written by [`UsiIndex::write_to`]: reads
+    /// `input` to its end onto the heap and validates those bytes with
+    /// [`UsiIndex::from_storage`], so the result is a storage view over
+    /// owned bytes and is refused for exactly the inputs a mapping is
+    /// refused for (trailing bytes included).
     pub fn read_from<R: Read>(input: &mut R) -> Result<Self, PersistError> {
-        let started = std::time::Instant::now();
-        let index = Self::read_from_inner(input)?;
-        observe_open("read", started);
-        Ok(index)
+        let mut bytes = Vec::new();
+        input.read_to_end(&mut bytes)?;
+        Self::from_storage(Arc::new(IndexStorage::Owned(bytes)))
     }
-
-    fn read_from_inner<R: Read>(input: &mut R) -> Result<Self, PersistError> {
-        let mut magic = [0u8; 8];
-        input.read_exact(&mut magic)?;
-        if magic != MAGIC {
-            return Err(PersistError::BadMagic);
-        }
-        let mut r = Reader(input);
-        let aggregator = usi_strings::GlobalAggregator::from_tag(r.u8()?)
-            .ok_or(PersistError::Corrupt("aggregator tag"))?;
-        let local = usi_strings::LocalWindow::from_tag(r.u8()?)
-            .ok_or(PersistError::Corrupt("local window tag"))?;
-        let base = r.u64()?;
-        if !(256..usi_strings::fingerprint::MODULUS - 1).contains(&base) {
-            return Err(PersistError::Corrupt("fingerprint base"));
-        }
-        let fingerprinter = Fingerprinter::from_raw_base(base);
-        let n = r.u64()? as usize;
-        if n > (u32::MAX as usize) - 2 {
-            return Err(PersistError::Corrupt("text length"));
-        }
-        let mut text = vec![0u8; n];
-        r.0.read_exact(&mut text)?;
-        let mut weights = Vec::with_capacity(n);
-        for _ in 0..n {
-            let x = r.f64()?;
-            if !x.is_finite() {
-                return Err(PersistError::Corrupt("non-finite weight"));
-            }
-            weights.push(x);
-        }
-        let mut sa = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        for _ in 0..n {
-            let p = r.u32()?;
-            if p as usize >= n || seen[p as usize] {
-                return Err(PersistError::Corrupt("suffix array permutation"));
-            }
-            seen[p as usize] = true;
-            sa.push(p);
-        }
-        let h_len = r.u64()? as usize;
-        if h_len > n.saturating_mul(n).max(1024) {
-            return Err(PersistError::Corrupt("hash table size"));
-        }
-        let mut h: FxHashMap<(u32, u64), UtilityAccumulator> = FxHashMap::default();
-        h.reserve(h_len);
-        for _ in 0..h_len {
-            let len = r.u32()?;
-            let fp = r.u64()?;
-            let sum = r.f64()?;
-            let min = r.f64()?;
-            let max = r.f64()?;
-            let count = r.u64()?;
-            if len == 0 || len as usize > n {
-                return Err(PersistError::Corrupt("cached substring length"));
-            }
-            h.insert((len, fp), UtilityAccumulator::from_raw(sum, min, max, count));
-        }
-        let k_requested = r.u64()? as usize;
-        let k_stored = r.u64()? as usize;
-        let tau = match r.u32()? {
-            u32::MAX => None,
-            t => Some(t),
-        };
-        let distinct_lengths = r.u64()? as usize;
-
-        let ws = WeightedString::new(text, weights)
-            .map_err(|_| PersistError::Corrupt("weighted string"))?;
-        let utility = GlobalUtility::with_parts(aggregator, local);
-        if local == usi_strings::LocalWindow::Product && ws.weights().iter().any(|&w| w <= 0.0) {
-            return Err(PersistError::Corrupt("non-positive weight for product local"));
-        }
-        let psw = utility.local_index(ws.weights());
-        let stats =
-            BuildStats { n, k_requested, k_stored, tau, distinct_lengths, ..BuildStats::default() };
-        Ok(UsiIndex::from_parts(ws, sa, psw, fingerprinter, utility, h, stats))
-    }
-
-    /// Opens a `.usix` file as a zero-copy storage view: the payload
-    /// sections (text, weights, suffix array, cached-substring table)
-    /// are served straight from the backing bytes — a memory mapping
-    /// where the platform wrapper exists ([`crate::storage::Mmap`]),
-    /// owned file bytes elsewhere. See [`open_mmap`].
-    pub fn open_mmap(path: &Path) -> Result<Self, PersistError> {
-        let storage = IndexStorage::open(path)?;
-        Self::from_storage(Arc::new(storage))
-    }
-
     /// Validates `storage` as a complete `USIX` v1 image and wraps it
-    /// in a view-backed index **without copying any section**: the same
-    /// structural checks [`UsiIndex::read_from`] performs (magic, tags,
-    /// fingerprint-base range, weight finiteness, the suffix-array
-    /// permutation property, per-entry length bounds) plus two that the
-    /// view depends on — the byte length must match the layout exactly,
-    /// and the hash-table entries must be in strictly increasing
-    /// `(length, fingerprint)` order (the canonical encoding guarantees
-    /// it; the probe's binary search requires it).
+    /// in a view-backed index **without copying any section**. This is
+    /// the one `.usix` validator: [`UsiIndex::read_from`] and
+    /// [`open_mmap`] both end here. It checks the magic, the tags, the
+    /// fingerprint-base range and the text length; that the byte length
+    /// matches the layout exactly, before any count is trusted; weight
+    /// finiteness (and positivity under a `Product` local window); the
+    /// suffix-array permutation property; and per-entry length bounds
+    /// and strictly increasing `(length, fingerprint)` order in `H`
+    /// (the canonical encoding guarantees it; the probe's binary search
+    /// requires it).
     ///
     /// The only load-time allocation proportional to the corpus is the
-    /// `PSW` prefix-sum array, which the format does not store.
+    /// `PSW` prefix-sum array, which the format does not store. Each
+    /// successful validation is timed in `usi_index_open_seconds{mode}`,
+    /// `mode` being `mmap` for a file mapping and `read` for heap bytes.
     pub fn from_storage(storage: Arc<IndexStorage>) -> Result<Self, PersistError> {
         let started = std::time::Instant::now();
+        let mode = if storage.is_mapped() { "mmap" } else { "read" };
         let index = Self::from_storage_inner(storage)?;
-        observe_open("mmap", started);
+        observe_open(mode, started);
         Ok(index)
     }
 
@@ -377,27 +273,31 @@ impl UsiIndex {
         let utility = GlobalUtility::with_parts(aggregator, local);
         // PSW is the one derived structure the format does not store:
         // rebuilt from the weight section in a single decoding pass,
-        // bit-identical to the owned load's (same accumulation order).
+        // bit-identical to the builder's (same accumulation order).
         let psw = LocalIndex::from_weights(view.weights().iter(), local);
         Ok(UsiIndex::from_view(view, psw, fingerprinter, utility, cached_lengths, stats))
     }
 }
 
-/// Opens `path` as a zero-copy, storage-backed [`UsiIndex`]: the
-/// header and every structural invariant are validated up front, but
-/// no payload section is copied onto the heap — text, weights, suffix
-/// array and the cached-substring table are typed slices over the
-/// file mapping, paged in on first touch. Queries answer
-/// byte-identically to [`UsiIndex::read_from`] (proptested).
+/// Opens `path` as a zero-copy, storage-backed [`UsiIndex`]: a memory
+/// mapping where the platform wrapper exists ([`crate::storage::Mmap`]),
+/// owned file bytes elsewhere. The header and every structural
+/// invariant are validated up front by [`UsiIndex::from_storage`], but
+/// no payload section is copied onto the heap: text, weights, suffix
+/// array and the cached-substring table are typed slices over the file
+/// mapping, paged in on first touch.
 ///
-/// Prefer this over `read_from` when serving many corpora from one
-/// process: cold-start and resident memory then scale with the number
-/// of indexes, not their total size. Prefer `read_from` when the file
-/// may be replaced underneath a long-lived process, or when every
-/// section will be hot anyway and the double page-cache/heap residency
-/// is unwanted.
+/// Prefer this over [`UsiIndex::read_from`] when serving many corpora
+/// from one process: cold-start and resident memory then scale with
+/// the number of indexes, not their total size. Both answer from the
+/// same view code. Prefer `read_from` when the index should not depend
+/// on its file after the load: no query then pays a first-touch
+/// page-in, and a file truncated or rewritten in place cannot fault a
+/// query (replace `.usix` files by atomic rename, as `usi build -o`
+/// does, and a mapping stays safe too).
 pub fn open_mmap(path: &Path) -> Result<UsiIndex, PersistError> {
-    UsiIndex::open_mmap(path)
+    let storage = IndexStorage::open(path)?;
+    UsiIndex::from_storage(Arc::new(storage))
 }
 
 /// Records one successful index open in
@@ -421,6 +321,7 @@ mod tests {
     use crate::builder::UsiBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use usi_strings::WeightedString;
 
     fn sample_index() -> UsiIndex {
         let mut rng = StdRng::seed_from_u64(201);
@@ -477,15 +378,36 @@ mod tests {
         let index = sample_index();
         let mut buf = Vec::new();
         index.write_to(&mut buf).unwrap();
-        // SA starts after magic(8) + agg(1) + base(8) + n(8) + text + weights
+        // SA starts after the header (magic, both tags, base, n), the
+        // text and the weights
         let n = index.text().len();
-        let sa_off = 8 + 1 + 8 + 8 + n + 8 * n;
+        let sa_off = HEADER_BYTES + 9 * n;
         // duplicate the first SA entry into the second
         let first: [u8; 4] = buf[sa_off..sa_off + 4].try_into().unwrap();
         buf[sa_off + 4..sa_off + 8].copy_from_slice(&first);
         assert!(matches!(
             UsiIndex::read_from(&mut buf.as_slice()),
             Err(PersistError::Corrupt("suffix array permutation"))
+        ));
+    }
+
+    #[test]
+    fn a_count_the_file_cannot_hold_is_refused_before_any_allocation() {
+        // n = 40 000 with an `H` count of n²: under the n² bound, so only
+        // the exact file-size check stands between the count and a
+        // 1.6-billion-entry reservation
+        let n = 40_000;
+        let mut rng = StdRng::seed_from_u64(209);
+        let text: Vec<u8> = (0..n).map(|_| b'a' + rng.gen_range(0..4u8)).collect();
+        let ws = WeightedString::uniform(text, 1.0);
+        let index = UsiBuilder::new().with_k(10).deterministic(211).build(ws);
+        let mut buf = Vec::new();
+        index.write_to(&mut buf).unwrap();
+        let h_count_off = HEADER_BYTES + 13 * n;
+        buf[h_count_off..h_count_off + 8].copy_from_slice(&((n * n) as u64).to_le_bytes());
+        assert!(matches!(
+            UsiIndex::read_from(&mut buf.as_slice()),
+            Err(PersistError::Corrupt("file size"))
         ));
     }
 

@@ -19,7 +19,8 @@
 //! onto the heap, so cold-start time and resident memory scale with
 //! the number of corpora served rather than their total size (the `PSW`
 //! prefix sums are the one derived structure still computed on load:
-//! the format does not store them).
+//! the format does not store them). [`crate::UsiIndex::read_from`]
+//! answers from the same view over [`IndexStorage::Owned`] bytes.
 
 use std::io;
 use std::ops::Range;

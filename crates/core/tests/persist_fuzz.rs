@@ -1,7 +1,11 @@
 //! Failure-injection tests for the `USIX` loader: arbitrary corruption
-//! must produce an error, never a panic or a silently wrong index.
+//! must produce an error, never a panic, an abort or a silently wrong
+//! index. `read_from` and `open_mmap` share one validator, so these
+//! cover both load paths.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
+use usi_core::persist::HEADER_BYTES;
 use usi_core::UsiBuilder;
 use usi_strings::WeightedString;
 
@@ -15,8 +19,45 @@ fn serialized_index(seed: u64) -> Vec<u8> {
     buf
 }
 
+/// Letters in [`large_index`]: enough that a count of up to n² names
+/// far more memory than the machine has.
+const LARGE_N: usize = 30_000;
+
+/// A valid image of `LARGE_N` letters, built once per test binary.
+fn large_index() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let text: Vec<u8> = (0..LARGE_N).map(|i| b"acgt"[(i * 7 + i / 13) % 4]).collect();
+        let ws = WeightedString::uniform(text, 1.0);
+        let index = UsiBuilder::new().with_k(50).deterministic(3).build(ws);
+        let mut buf = Vec::new();
+        index.write_to(&mut buf).unwrap();
+        buf
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Counts the file cannot hold are refused, whatever memory they
+    /// name: `n` and the `H` count overwritten with values up to n².
+    #[test]
+    fn oversized_counts_are_refused(
+        n in 0u64..=(LARGE_N * LARGE_N) as u64,
+        h in 0u64..=(LARGE_N * LARGE_N) as u64,
+        which in 0u8..3,
+    ) {
+        let mut buf = large_index().to_vec();
+        let h_count_off = HEADER_BYTES + 13 * LARGE_N;
+        let original_h = u64::from_le_bytes(buf[h_count_off..h_count_off + 8].try_into().unwrap());
+        // 0: n only, 1: the H count only, 2: both
+        let n = if which == 1 { LARGE_N as u64 } else { n };
+        let h = if which == 0 { original_h } else { h };
+        prop_assume!((n, h) != (LARGE_N as u64, original_h));
+        buf[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&n.to_le_bytes());
+        buf[h_count_off..h_count_off + 8].copy_from_slice(&h.to_le_bytes());
+        prop_assert!(usi_core::UsiIndex::read_from(&mut buf.as_slice()).is_err());
+    }
 
     /// Truncation at any offset is rejected (or, at worst for a byte-exact
     /// prefix of a valid file, never produces wrong answers — but with a

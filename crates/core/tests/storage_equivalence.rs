@@ -1,8 +1,9 @@
-//! The zero-copy contract of `persist::open_mmap`: a storage-backed
-//! index must be **observationally identical** to the owned load of the
-//! same bytes — every query answer bit-for-bit equal (proptested) —
-//! and must reject malformed files as cleanly as `read_from` does,
-//! including truncation at every section boundary.
+//! The zero-copy contract of the one `.usix` reader, `from_storage`
+//! (behind both `persist::open_mmap` and `read_from`): an index loaded
+//! from storage must be **observationally identical** to the heap-built
+//! index that wrote the bytes — every query answer bit-for-bit equal
+//! (proptested) — and must reject malformed files cleanly, including
+//! truncation at every section boundary.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,8 +28,8 @@ fn build_index(seed: u64, n: usize) -> UsiIndex {
     UsiBuilder::new().with_k(n / 10).deterministic(seed).build(ws)
 }
 
-/// Opens serialised bytes through the same validation path `open_mmap`
-/// uses, minus the filesystem.
+/// Opens serialised bytes through the validator `open_mmap` and
+/// `read_from` share, minus the filesystem.
 fn open_view(bytes: &[u8]) -> Result<UsiIndex, PersistError> {
     UsiIndex::from_storage(Arc::new(IndexStorage::Owned(bytes.to_vec())))
 }
@@ -41,11 +42,13 @@ fn open_mmap_answers_match_read_from_through_a_real_file() {
     index.write_to(&mut buf).unwrap();
     std::fs::write(&path, &buf).unwrap();
 
-    let owned = UsiIndex::read_from(&mut buf.as_slice()).unwrap();
+    let owned = index;
     let mapped = usi_core::persist::open_mmap(&path).unwrap();
     #[cfg(all(unix, target_pointer_width = "64"))]
     assert!(mapped.is_memory_mapped(), "unix mmap wrapper must be used");
     assert!(!owned.is_memory_mapped());
+    // the heap load is a view over owned bytes, not a mapping
+    assert!(!UsiIndex::read_from(&mut buf.as_slice()).unwrap().is_memory_mapped());
 
     assert_eq!(mapped.cached_substrings(), owned.cached_substrings());
     assert_eq!(mapped.stats().tau, owned.stats().tau);
@@ -145,11 +148,16 @@ fn trailing_bytes_and_unsorted_entries_are_rejected() {
     let mut buf = Vec::new();
     index.write_to(&mut buf).unwrap();
 
-    // the view demands an exact layout match: read_from tolerates a
-    // trailing newline on a stream, a mapping must not
+    // the view demands an exact layout match: even a trailing newline
+    // is refused
     let mut padded = buf.clone();
     padded.push(b'\n');
     assert!(matches!(open_view(&padded), Err(PersistError::Corrupt("file size"))));
+    // and a stream is held to the same layout as a mapping
+    assert!(matches!(
+        UsiIndex::read_from(&mut padded.as_slice()),
+        Err(PersistError::Corrupt("file size"))
+    ));
 
     // swapping two adjacent hash-table entries breaks the canonical
     // order the binary-search probe relies on
@@ -164,7 +172,7 @@ fn trailing_bytes_and_unsorted_entries_are_rejected() {
     swapped[b..b + 44].copy_from_slice(&first);
     assert!(matches!(open_view(&swapped), Err(PersistError::Corrupt("hash table order"))));
 
-    // duplicated suffix-array entry: same permutation check as read_from
+    // duplicated suffix-array entry: caught by the permutation check
     let sa_off = 26 + 9 * n;
     let mut corrupt = buf.clone();
     let first: [u8; 4] = corrupt[sa_off..sa_off + 4].try_into().unwrap();
@@ -203,13 +211,12 @@ fn every_aggregator_and_local_window_round_trips_through_a_view() {
                 .build(ws);
             let mut buf = Vec::new();
             index.write_to(&mut buf).unwrap();
-            let owned = UsiIndex::read_from(&mut buf.as_slice()).unwrap();
             let view = open_view(&buf).unwrap();
             for _ in 0..40 {
                 let m = rng.gen_range(1..8usize);
                 let i = rng.gen_range(0..n - m);
                 let pattern = &text[i..i + m];
-                assert_eq!(view.query(pattern), owned.query(pattern), "{agg:?}/{local:?}");
+                assert_eq!(view.query(pattern), index.query(pattern), "{agg:?}/{local:?}");
             }
         }
     }
@@ -218,8 +225,8 @@ fn every_aggregator_and_local_window_round_trips_through_a_view() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole invariant: for any indexed string, the owned and
-    /// storage-view backings of the same serialised bytes answer every
+    /// The tentpole invariant: for any indexed string, the heap-built
+    /// index and the storage view of its serialised bytes answer every
     /// query identically — value, occurrence count and source.
     #[test]
     fn owned_and_view_backings_answer_identically(seed in 0u64..500) {
@@ -231,7 +238,7 @@ proptest! {
         let index = UsiBuilder::new().with_k(1 + n / 8).deterministic(seed).build(ws);
         let mut buf = Vec::new();
         index.write_to(&mut buf).unwrap();
-        let owned = UsiIndex::read_from(&mut buf.as_slice()).unwrap();
+        let owned = index;
         let view = open_view(&buf).unwrap();
         prop_assert_eq!(view.cached_substrings(), owned.cached_substrings());
         for _ in 0..30 {

@@ -220,13 +220,115 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A document id of at most `MAX_DOC_ID` UTF-8 bytes, mixing ASCII
+    /// with multi-byte characters.
+    fn doc_id(code_points: &[u32]) -> String {
+        let mut id = String::new();
+        for &c in code_points {
+            let c = char::from_u32(c).unwrap_or('\u{fffd}');
+            if id.len() + c.len_utf8() > MAX_DOC_ID {
+                break;
+            }
+            id.push(c);
+        }
+        id
+    }
+
+    /// Asserts that `read` parses `bytes` back to `value` and consumes
+    /// all of it, and that every strict prefix is an error.
+    fn round_trips<T: PartialEq + std::fmt::Debug>(
+        bytes: &[u8],
+        value: &T,
+        read: impl Fn(&mut &[u8]) -> io::Result<T>,
+    ) -> Result<(), TestCaseError> {
+        let mut rest = bytes;
+        let parsed = read(&mut rest);
+        prop_assert!(parsed.as_ref().is_ok_and(|p| p == value), "{parsed:?} != {value:?}");
+        prop_assert!(rest.is_empty(), "{} bytes left unread", rest.len());
+        for cut in 0..bytes.len() {
+            let parsed = read(&mut &bytes[..cut]);
+            prop_assert!(parsed.is_err(), "prefix {cut}/{} parsed as {parsed:?}", bytes.len());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn hellos_round_trip_and_prefixes_fail(
+            code_points in proptest::collection::vec(
+                prop_oneof![0u32..0x80, 0u32..0x11_0000],
+                0..MAX_DOC_ID + 1,
+            ),
+            offset in any::<u64>(),
+        ) {
+            let hello = Hello { doc: doc_id(&code_points), offset };
+            let mut buf = Vec::new();
+            write_hello(&mut buf, &hello).unwrap();
+            round_trips(&buf, &hello, |r| read_hello(r))?;
+        }
+
+        #[test]
+        fn acks_round_trip_and_prefixes_fail(
+            status in 0u8..3,
+            committed_bytes in any::<u64>(),
+            committed_records in any::<u64>(),
+        ) {
+            let status = AckStatus::from_byte(status).unwrap();
+            let ack = Ack { status, committed_bytes, committed_records };
+            let mut buf = Vec::new();
+            write_ack(&mut buf, &ack).unwrap();
+            round_trips(&buf, &ack, |r| read_ack(r))?;
+        }
+
+        #[test]
+        fn frames_round_trip_and_prefixes_fail(
+            records_frame in any::<bool>(),
+            a in any::<u64>(),
+            b in any::<u64>(),
+            bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+        ) {
+            let frame = if records_frame {
+                Frame::Records { start: a, records: b as u32, bytes }
+            } else {
+                Frame::Heartbeat { committed_bytes: a, committed_records: b }
+            };
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &frame).unwrap();
+            round_trips(&buf, &frame, |r| read_frame(r))?;
+        }
+
+        /// Lengths over the caps are refused from the length field alone,
+        /// before any payload is read or allocated.
+        #[test]
+        fn lengths_over_the_caps_are_refused(
+            frame_len in (MAX_FRAME_BYTES as u32 + 1)..=u32::MAX,
+            id_len in (MAX_DOC_ID as u32 + 1)..=u32::MAX,
+        ) {
+            let mut frame = vec![TAG_RECORDS];
+            frame.extend_from_slice(&8u64.to_le_bytes());
+            frame.extend_from_slice(&1u32.to_le_bytes());
+            frame.extend_from_slice(&frame_len.to_le_bytes());
+            let err = read_frame(&mut &frame[..]).unwrap_err();
+            prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+            let mut hello = HELLO_MAGIC.to_vec();
+            hello.extend_from_slice(&id_len.to_le_bytes());
+            let err = read_hello(&mut &hello[..]).unwrap_err();
+            prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+    }
 
     #[test]
     fn hello_ack_and_frames_round_trip() {
-        let hello = Hello { doc: "docs/1".into(), offset: 4096 };
-        let mut buf = Vec::new();
-        write_hello(&mut buf, &hello).unwrap();
-        assert_eq!(read_hello(&mut &buf[..]).unwrap(), hello);
+        // an id of exactly `MAX_DOC_ID` bytes is still accepted
+        for doc in ["docs/1".to_string(), "x".repeat(MAX_DOC_ID)] {
+            let hello = Hello { doc, offset: 4096 };
+            let mut buf = Vec::new();
+            write_hello(&mut buf, &hello).unwrap();
+            assert_eq!(read_hello(&mut &buf[..]).unwrap(), hello);
+        }
 
         for status in [AckStatus::Ok, AckStatus::UnknownDoc, AckStatus::BadOffset] {
             let ack = Ack { status, committed_bytes: 99, committed_records: 7 };

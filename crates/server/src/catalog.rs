@@ -39,7 +39,8 @@ use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use usi_core::index::IndexSize;
 use usi_core::{
-    merge_accumulators, merged_total, PersistError, QueryEngine, QuerySource, UsiIndex, UsiQuery,
+    merge_accumulators, merged_total, IndexStorage, PersistError, QueryEngine, QuerySource,
+    UsiIndex, UsiQuery,
 };
 use usi_ingest::{IngestError, IngestPipeline, IngestStats};
 use usi_strings::{GlobalUtility, UtilityAccumulator};
@@ -47,10 +48,11 @@ use usi_strings::{GlobalUtility, UtilityAccumulator};
 /// How a catalog materialises `.usix` files.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadOptions {
-    /// Open files as zero-copy storage views
-    /// ([`usi_core::persist::open_mmap`]) instead of copying every
-    /// section onto the heap: cold-start and resident memory then
-    /// scale with the number of documents, not their total bytes.
+    /// Map files into memory ([`usi_core::persist::open_mmap`]) instead
+    /// of reading their bytes onto the heap: cold-start and resident
+    /// memory then scale with the number of documents, not their total
+    /// bytes. Either way the file is validated by
+    /// [`UsiIndex::from_storage`] and queries answer from the same view.
     pub mmap: bool,
     /// Worker threads for directory loads; `0` means
     /// `available_parallelism`.
@@ -553,21 +555,18 @@ impl Catalog {
 
     /// Reads and validates one `.usix` file without touching the
     /// catalog; the document id is the file stem. With `mmap` the index
-    /// is a zero-copy storage view; otherwise every section is copied
-    /// onto the heap.
+    /// is a view over a file mapping; otherwise it is a view over the
+    /// file's bytes read onto the heap. Both run the same validator.
     fn parse_usix(path: &Path, mmap: bool) -> Result<(String, UsiIndex), CatalogError> {
         let display = path.display().to_string();
-        let index = if mmap {
-            usi_core::persist::open_mmap(path).map_err(|e| match e {
-                PersistError::Io(e) => CatalogError::Io(display.clone(), e),
-                e => CatalogError::Load(display.clone(), e),
-            })?
+        let storage = if mmap {
+            IndexStorage::open(path)
         } else {
-            let file =
-                std::fs::File::open(path).map_err(|e| CatalogError::Io(display.clone(), e))?;
-            let mut reader = io::BufReader::new(file);
-            UsiIndex::read_from(&mut reader).map_err(|e| CatalogError::Load(display, e))?
-        };
+            std::fs::read(path).map(IndexStorage::Owned)
+        }
+        .map_err(|e| CatalogError::Io(display.clone(), e))?;
+        let index = UsiIndex::from_storage(Arc::new(storage))
+            .map_err(|e| CatalogError::Load(display, e))?;
         let id = path.file_stem().map_or_else(String::new, |s| s.to_string_lossy().into_owned());
         Ok((id, index))
     }

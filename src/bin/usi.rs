@@ -22,10 +22,14 @@
 //!           [--segment-dir DIR] [--json] [--replay [--query P]…]
 //! ```
 //!
-//! `--mmap` loads `.usix` files as zero-copy storage views
-//! (`usi_core::persist::open_mmap`): cold-start and resident memory
-//! scale with the number of indexes instead of their bytes, at the
-//! price of the kernel paging sections in on first touch. `inspect`
+//! `--mmap` maps `.usix` files into memory
+//! (`usi_core::persist::open_mmap`) instead of reading their bytes onto
+//! the heap: cold-start and resident memory scale with the number of
+//! indexes instead of their bytes, at the price of the kernel paging
+//! sections in on first touch. Both modes validate a file the same way
+//! and answer from the same storage view. `build -o` replaces its
+//! output by atomic rename, so rebuilding a file a `--mmap` server has
+//! mapped leaves that server's view intact until a reload. `inspect`
 //! validates a file and prints its header, section sizes and checksum
 //! — the first tool to reach for over a suspect index file.
 //!
@@ -50,12 +54,13 @@
 //! are remote shards, merged through the usual `"doc": "*"` path.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufWriter, Read};
 use std::net::TcpListener;
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
 use usi::core::oracle::TopKOracle;
+use usi::core::IndexStorage;
 use usi::prelude::*;
 use usi::server::json::query_result_json;
 use usi::strings::text::display_bytes;
@@ -219,23 +224,49 @@ fn cmd_build(args: &Args) {
         stats.distinct_lengths,
         stats.total_time()
     );
-    let mut out = BufWriter::new(
-        File::create(out_path).unwrap_or_else(|e| die(&format!("cannot create output: {e}"))),
-    );
-    index.write_to(&mut out).unwrap_or_else(|e| die(&format!("write failed: {e}")));
-    out.flush().unwrap_or_else(|e| die(&format!("flush failed: {e}")));
+    write_replacing(&index, Path::new(out_path))
+        .unwrap_or_else(|e| die(&format!("cannot write {out_path}: {e}")));
     eprintln!("wrote {out_path}");
 }
 
-fn load_index(path: &str, mmap: bool) -> UsiIndex {
-    if mmap {
-        return usi::core::persist::open_mmap(Path::new(path))
-            .unwrap_or_else(|e| die(&format!("load failed: {path}: {e}")));
+/// Writes `index` to `path` by atomic rename: the bytes go to a
+/// temporary file beside `path`, which is flushed and synced before it
+/// replaces `path`, and the directory is synced after. A server that
+/// has the old file mapped keeps the old inode until its last query on
+/// that view ends, so rebuilding a served file never truncates pages
+/// under it.
+fn write_replacing(index: &UsiIndex, path: &Path) -> std::io::Result<()> {
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "output is not a file name")
+    })?;
+    let tmp =
+        path.with_file_name(format!(".{}.tmp-{}", name.to_string_lossy(), std::process::id()));
+    let written = File::create(&tmp)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            index.write_to(&mut out)?;
+            out.into_inner().map_err(std::io::IntoInnerError::into_error)?.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
     }
-    let mut input = BufReader::new(
-        File::open(path).unwrap_or_else(|e| die(&format!("cannot open {path}: {e}"))),
-    );
-    UsiIndex::read_from(&mut input).unwrap_or_else(|e| die(&format!("load failed: {e}")))
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
+}
+
+/// Loads `path` through the one `.usix` validator, over a file mapping
+/// with `mmap` and over the file's bytes on the heap without it.
+fn load_index(path: &str, mmap: bool) -> UsiIndex {
+    let storage = if mmap {
+        IndexStorage::open(Path::new(path))
+    } else {
+        std::fs::read(path).map(IndexStorage::Owned)
+    }
+    .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
+    UsiIndex::from_storage(Arc::new(storage))
+        .unwrap_or_else(|e| die(&format!("load failed: {path}: {e}")))
 }
 
 fn cmd_query(args: &Args) {

@@ -289,3 +289,38 @@ fn inspect_validates_and_mmap_query_matches_owned() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("status\tcorrupt"), "{stdout}");
 }
+
+#[test]
+fn rebuilding_a_mapped_index_leaves_the_old_view_intact() {
+    let build = |text: &[u8], out: &std::path::Path| {
+        let text_path = tmp("t10.txt");
+        std::fs::write(&text_path, text).unwrap();
+        let out = usi()
+            .args(["build", text_path.to_str().unwrap(), "--k", "20", "-o", out.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    };
+    let index_path = tmp("t10.usix");
+    let long: Vec<u8> = (0..20_000).map(|i| b"acgt"[(i / 3 + i / 11) % 4]).collect();
+    build(&long, &index_path);
+    let original = std::fs::read(&index_path).unwrap();
+    let view = usi::core::persist::open_mmap(&index_path).unwrap();
+
+    // rebuild a much shorter text to the same path while the view is
+    // mapped: truncating the file in place would make the view's pages
+    // past the new end of file fault
+    build(b"abracadabra", &index_path);
+    assert!(std::fs::read(&index_path).unwrap().len() < original.len() / 100);
+    let mut reread = Vec::new();
+    view.write_to(&mut reread).unwrap();
+    assert!(reread == original, "the old view must keep the bytes it was opened on");
+
+    // the temporary file was renamed away, not left beside the output
+    let leftovers: Vec<_> = std::fs::read_dir(index_path.parent().unwrap())
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(".t10.usix.tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "{leftovers:?}");
+}

@@ -98,17 +98,37 @@ fn corrupt_reload_leaves_the_old_document_serving() {
     catalog.load_usix_with(&path, LoadOptions { mmap: false, threads: 1 }).unwrap();
     let before = respond(&catalog, "POST", "/v1/query", br#"{"doc":"corrupt","patterns":["ab"]}"#);
 
-    std::fs::write(&path, b"this is not a usix file").unwrap();
-    let err = catalog.reload("corrupt");
-    assert!(matches!(err, Err(ReloadError::Load(_))), "{err:?}");
-    // the HTTP route reports the failure without dropping the doc
-    let r = respond(&catalog, "POST", "/v1/docs/corrupt/reload", b"");
-    assert_eq!(r.status, 500, "{}", r.body);
-    assert!(r.body.contains("old view keeps serving"), "{}", r.body);
+    // garbage, then a well-formed 40 000-letter image whose `H` count
+    // reads n²: a count the file cannot hold must fail the reload, not
+    // reserve memory for it
+    for bad in [b"this is not a usix file".to_vec(), oversized_h_count_image()] {
+        std::fs::write(&path, &bad).unwrap();
+        let err = catalog.reload("corrupt");
+        assert!(matches!(err, Err(ReloadError::Load(_))), "{err:?}");
+        // the HTTP route reports the failure without dropping the doc
+        let r = respond(&catalog, "POST", "/v1/docs/corrupt/reload", b"");
+        assert_eq!(r.status, 500, "{}", r.body);
+        assert!(r.body.contains("old view keeps serving"), "{}", r.body);
 
-    let after = respond(&catalog, "POST", "/v1/query", br#"{"doc":"corrupt","patterns":["ab"]}"#);
-    assert_eq!(after.status, 200);
-    assert_eq!(after.body, before.body, "a failed reload must not disturb the serving document");
+        let after =
+            respond(&catalog, "POST", "/v1/query", br#"{"doc":"corrupt","patterns":["ab"]}"#);
+        assert_eq!(after.status, 200);
+        assert_eq!(
+            after.body, before.body,
+            "a failed reload must not disturb the serving document"
+        );
+    }
+}
+
+/// A valid 40 000-letter image with its `H` count overwritten to n².
+fn oversized_h_count_image() -> Vec<u8> {
+    let n = 40_000;
+    let text: Vec<u8> = (0..n).map(|i| b"ab"[(i / 3 + i / 7) % 2]).collect();
+    let mut bytes = Vec::new();
+    build(&text, 6).write_to(&mut bytes).unwrap();
+    let h_count_off = usi::core::persist::HEADER_BYTES + 13 * n;
+    bytes[h_count_off..h_count_off + 8].copy_from_slice(&((n * n) as u64).to_le_bytes());
+    bytes
 }
 
 #[test]
