@@ -2,11 +2,11 @@
 """Holds N idle keep-alive connections open against a usi server.
 
 Used by the CI smoke job to prove that parked connections do not occupy
-pool workers: the helper opens the connections (never sending a byte —
-the reactor parks each socket on accept), touches a ready file so the
-calling shell knows the pool is up, then sleeps until killed. Assertions
-(active query still answered, /metrics gauges) run from the shell while
-this process holds the sockets.
+workers: the helper opens the connections (never sending a byte — the
+server parks each socket in its epoll set on accept), touches a ready
+file so the calling shell knows the connections are up, then sleeps
+until killed. Assertions (active query still answered, /metrics gauges)
+run from the shell while this process holds the sockets.
 
 Usage: idle_conns.py HOST PORT COUNT READY_FILE
 """

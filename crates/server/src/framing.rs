@@ -1,8 +1,9 @@
 //! HTTP/1.1 message framing: where one message ends in a byte stream.
 //!
 //! [`frame`] is the only code that decides it. The server's request
-//! reader, the reactor's "is a whole request already buffered?" test and
-//! the blocking client reader [`read_response`] (used by the shard
+//! reader, the serving loop's "is a whole request already buffered?"
+//! test (a worker answers such a request before it re-arms the socket)
+//! and the blocking client reader [`read_response`] (used by the shard
 //! client `usi_repl::RemoteDoc`, the end-to-end tests and the benches)
 //! all ask it, so they cannot disagree. The rules are RFC 9112 §§2.2,
 //! 5.1 and 6.3, narrowed to what this API speaks:

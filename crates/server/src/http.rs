@@ -15,10 +15,10 @@
 //! where each request ends (`Content-Length` bodies only, a 16 KiB head
 //! cap, 400 or 413 for anything else), request parsing handles exactly
 //! what the API needs (request line and `Connection`), every response
-//! carries `Content-Length`, and a fixed-size [`WorkerPool`] bounds
-//! concurrency. Shutdown is graceful:
-//! [`ServerHandle::shutdown`] stops the accept loop, lets queued
-//! connections finish, and joins every thread.
+//! carries `Content-Length`, and [`ServerConfig::workers`] threads
+//! bound concurrency. Shutdown is graceful: [`ServerHandle::shutdown`]
+//! stops accepting, lets requests in progress finish, and joins every
+//! thread.
 //!
 //! Connections are **persistent** (HTTP/1.1 keep-alive): each accepted
 //! socket is answered until the client asks for `Connection: close` (or
@@ -30,18 +30,17 @@
 //! in the per-connection buffer (at most one head + one body ahead)
 //! and are answered in order.
 //!
-//! **Idle connections do not occupy workers.** On Linux a readiness
-//! reactor (the private `reactor` module) parks every idle socket in an epoll
-//! set; a pool worker is borrowed only while a request is actually
-//! being parsed and answered, then the socket is re-armed with the
-//! reactor — tens of thousands of idle keep-alive connections are
-//! served from a handful of workers, with [`ServerConfig::max_connections`]
-//! bounding the total (over-capacity connects get `503` and a close).
-//! On other platforms (or with [`ServerConfig::reactor`] off) the
-//! original thread-per-connection fallback runs: an open connection
-//! occupies its worker until it closes or idles out, so there size
-//! [`ServerConfig::workers`] to the expected number of concurrently
-//! connected clients, not requests.
+//! **Idle connections do not occupy workers.** On Linux every worker
+//! waits on one shared epoll set (the private `reactor` module): the
+//! worker that takes a readable socket serves it through
+//! `serve_ready` and re-arms it, so tens of thousands of idle
+//! keep-alive connections are served from a handful of workers, with
+//! [`ServerConfig::max_connections`] bounding the total (over-capacity
+//! connects get `503` and a close). Targets without epoll run the
+//! portable path instead: each worker blocks in `accept()` and serves
+//! what it accepts until the connection closes or idles out, so there
+//! size [`ServerConfig::workers`] to the expected number of
+//! concurrently connected clients, not requests.
 
 use crate::catalog::{AppendError, Catalog, ReloadError};
 use crate::framing::{self, frame, Frame, MAX_HEAD};
@@ -50,7 +49,6 @@ use crate::json::{
     Json,
 };
 use crate::metrics;
-use crate::pool::{ConnVerdict, WorkerPool};
 use crate::reactor;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -99,7 +97,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Most scoped threads a single batch/fan-out query may spread
     /// over. A cap, not a target: a batch below 320 lookups (patterns ×
-    /// documents) per thread runs inline on the request's pool worker,
+    /// documents) per thread runs inline on the request's worker,
     /// except that a fan-out over remote shards or followers always
     /// spreads across its documents.
     pub batch_threads: usize,
@@ -109,7 +107,7 @@ pub struct ServerConfig {
     pub keep_alive: bool,
     /// How long a persistent connection may sit idle (and how long a
     /// single read may stall) before the server closes it. Bounds the
-    /// time an idle client can hold a pool worker.
+    /// time a client that stalls mid-request can hold a worker.
     pub idle_timeout: Duration,
     /// Requests served on one connection before the server closes it
     /// (`Connection: close` on the last response) — an upper bound on
@@ -118,7 +116,7 @@ pub struct ServerConfig {
     /// Requests slower than this are logged to stderr (and counted in
     /// `usi_http_slow_requests_total`); `None` disables the slow log.
     pub slow_query_ms: Option<u64>,
-    /// Requests whose **whole lifetime** (queue wait through response
+    /// Requests whose **whole lifetime** (first byte through response
     /// write) exceeds this are captured in the flight recorder with
     /// their full stage tree (`GET /debug/requests`). Defaults to
     /// [`ServerConfig::slow_query_ms`] when `None`; errored requests
@@ -128,12 +126,8 @@ pub struct ServerConfig {
     pub access_log: AccessLog,
     /// Most connections held open at once. A connect past the limit is
     /// answered with `503` (the uniform JSON error body) and closed
-    /// immediately, protecting the reactor's descriptor budget.
+    /// immediately, protecting the server's descriptor budget.
     pub max_connections: usize,
-    /// Serve idle connections from the epoll reactor (Linux). When
-    /// `false` — or on platforms without epoll — every connection pins
-    /// a pool worker for its whole lifetime, the pre-reactor behaviour.
-    pub reactor: bool,
 }
 
 impl Default for ServerConfig {
@@ -149,7 +143,6 @@ impl Default for ServerConfig {
             flight_slow_ms: None,
             access_log: AccessLog::Off,
             max_connections: 100_000,
-            reactor: true,
         }
     }
 }
@@ -161,26 +154,24 @@ impl ServerConfig {
     }
 }
 
-/// How [`ServerHandle::shutdown`] interrupts the serving thread's
-/// blocking wait.
+/// How [`ServerHandle::shutdown`] interrupts the workers' blocking
+/// waits.
 pub(crate) enum WakeStrategy {
-    /// Wake a blocking `accept()` with a throwaway loopback connection
-    /// (the thread-per-connection fallback has nothing better to poke).
+    /// Wake each blocking `accept()` with a throwaway loopback
+    /// connection (the portable path has nothing better to poke).
     Connect,
-    /// Write the reactor's eventfd, which is registered in its epoll
-    /// set — no artificial connection, works even at the descriptor
-    /// limit.
+    /// Write the eventfd registered in the workers' epoll set — no
+    /// artificial connection, works even at the descriptor limit.
     #[cfg(target_os = "linux")]
     Eventfd(Arc<std::fs::File>),
 }
 
 /// A running server; dropping it (or calling
-/// [`ServerHandle::shutdown`]) stops the accept loop and joins every
-/// worker.
+/// [`ServerHandle::shutdown`]) stops accepting and joins every worker.
 pub struct ServerHandle {
     pub(crate) addr: SocketAddr,
     pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) thread: Option<JoinHandle<()>>,
+    pub(crate) threads: Vec<JoinHandle<()>>,
     pub(crate) waker: WakeStrategy,
     pub(crate) open: Arc<AtomicUsize>,
 }
@@ -200,7 +191,8 @@ impl ServerHandle {
         self.open.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting, drains queued connections and joins all threads.
+    /// Stops accepting, lets requests in progress finish and joins all
+    /// threads.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -209,9 +201,10 @@ impl ServerHandle {
         self.stop.store(true, Ordering::SeqCst);
         match &self.waker {
             WakeStrategy::Connect => {
-                // wake the blocking accept() with a throwaway connection;
-                // a wildcard bind (0.0.0.0 / ::) is not connectable
-                // everywhere, so aim at the loopback of the same family
+                // wake each blocking accept() with a throwaway
+                // connection; a wildcard bind (0.0.0.0 / ::) is not
+                // connectable everywhere, so aim at the loopback of the
+                // same family
                 let mut wake = self.addr;
                 if wake.ip().is_unspecified() {
                     wake.set_ip(match wake.ip() {
@@ -223,14 +216,16 @@ impl ServerHandle {
                         }
                     });
                 }
-                let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+                for _ in &self.threads {
+                    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+                }
             }
             #[cfg(target_os = "linux")]
             WakeStrategy::Eventfd(fd) => {
                 let _ = (&**fd).write_all(&1u64.to_ne_bytes());
             }
         }
-        if let Some(thread) = self.thread.take() {
+        for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
     }
@@ -238,17 +233,16 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.thread.is_some() {
+        if !self.threads.is_empty() {
             self.stop_and_join();
         }
     }
 }
 
-/// Starts serving `catalog` on `listener`. Returns immediately; serving
-/// runs on its own thread(s) until the handle shuts down. On Linux with
-/// [`ServerConfig::reactor`] on (the default) connections are parked in
-/// an epoll reactor between requests; otherwise each connection pins a
-/// worker from the fixed pool for its lifetime.
+/// Starts serving `catalog` on `listener`. Returns immediately;
+/// [`ServerConfig::workers`] threads serve until the handle shuts down.
+/// On Linux they take turns on one epoll set, so idle connections cost
+/// no thread; elsewhere each pins a worker for its lifetime.
 pub fn serve(
     catalog: Arc<Catalog>,
     listener: TcpListener,
@@ -256,78 +250,75 @@ pub fn serve(
 ) -> io::Result<ServerHandle> {
     // pin the uptime epoch: /healthz reports seconds of serving time
     usi_obs::process_start();
-    if config.reactor && reactor::SUPPORTED {
-        return reactor::serve(catalog, listener, config);
+    if cfg!(target_os = "linux") {
+        reactor::serve(catalog, listener, config)
+    } else {
+        serve_threaded(catalog, listener, config)
     }
-    serve_threaded(catalog, listener, config)
 }
 
-/// The portable thread-per-connection path: a blocking accept loop
-/// hands each connection to the pool, which owns it until it closes.
+/// The portable path for targets without epoll: `config.workers`
+/// threads each block in `accept()` and serve what they accept until
+/// it closes.
 fn serve_threaded(
     catalog: Arc<Catalog>,
     listener: TcpListener,
     config: ServerConfig,
 ) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
+    let listener = Arc::new(listener);
     let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
     let open = Arc::new(AtomicUsize::new(0));
-    let open_count = Arc::clone(&open);
-    let accept = std::thread::Builder::new().name("usi-accept".into()).spawn(move || {
-        let pool = WorkerPool::new(config.workers);
-        loop {
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(_) if stop_flag.load(Ordering::SeqCst) => break,
-                Err(_) => {
-                    // transient failure (EMFILE under flood, ECONNABORTED):
-                    // back off instead of hot-spinning, letting in-flight
-                    // requests finish and release descriptors
-                    std::thread::sleep(Duration::from_millis(50));
-                    continue;
+    // a failed spawn drops the handle, which stops and joins the
+    // workers already running
+    let mut handle = ServerHandle {
+        addr,
+        stop: Arc::clone(&stop),
+        threads: Vec::new(),
+        waker: WakeStrategy::Connect,
+        open: Arc::clone(&open),
+    };
+    for i in 0..config.workers.max(1) {
+        let (catalog, listener) = (Arc::clone(&catalog), Arc::clone(&listener));
+        let (stop, open) = (Arc::clone(&stop), Arc::clone(&open));
+        let thread =
+            std::thread::Builder::new().name(format!("usi-worker-{i}")).spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let stream = match listener.accept() {
+                        Ok((stream, _)) => stream,
+                        Err(_) => {
+                            // transient failure (EMFILE under flood,
+                            // ECONNABORTED): back off instead of hot-spinning
+                            std::thread::sleep(Duration::from_millis(50));
+                            continue;
+                        }
+                    };
+                    if stop.load(Ordering::SeqCst) {
+                        break; // the wake-up connection (or a race with it)
+                    }
+                    if let Some(stream) = admit(stream, &open, config) {
+                        handle_connection(stream, &catalog, config);
+                        open.fetch_sub(1, Ordering::SeqCst);
+                    }
                 }
-            };
-            if stop_flag.load(Ordering::SeqCst) {
-                break; // the wake-up connection (or a race with it)
-            }
-            // answers are single writes; never let Nagle hold one back
-            let _ = stream.set_nodelay(true);
-            if open_count.load(Ordering::SeqCst) >= config.max_connections.max(1) {
-                reject_over_capacity(stream);
-                continue;
-            }
-            open_count.fetch_add(1, Ordering::SeqCst);
-            let catalog = Arc::clone(&catalog);
-            let open_count = Arc::clone(&open_count);
-            pool.execute(move |queue_wait| {
-                handle_connection(stream, &catalog, config, queue_wait);
-                open_count.fetch_sub(1, Ordering::SeqCst);
-                ConnVerdict::Close
-            });
-        }
-        // pool drops here: queued connections drain, workers join
-    })?;
-    Ok(ServerHandle { addr, stop, thread: Some(accept), waker: WakeStrategy::Connect, open })
+            })?;
+        handle.threads.push(thread);
+    }
+    Ok(handle)
 }
 
-/// Per-connection parse/serve state shared by the thread-per-connection
-/// path and the reactor: the socket, the pipelining carry-over buffer,
-/// and how many requests this connection has answered (the budget
-/// counter).
+/// Per-connection parse/serve state shared by the portable path and
+/// the epoll loop: the socket, the pipelining carry-over buffer, and
+/// how many requests this connection has answered (the budget counter).
 pub(crate) struct ConnState {
     stream: TcpStream,
     buf: Vec<u8>,
     served: u64,
-    /// How long this connection's current pool job waited in the queue
-    /// — charged to the **first** request the job serves (its `queue`
-    /// stage), then cleared; pipelined follow-ups never waited.
-    pending_wait: Option<Duration>,
 }
 
 impl ConnState {
     pub(crate) fn new(stream: TcpStream) -> Self {
-        Self { stream, buf: Vec::with_capacity(1024), served: 0, pending_wait: None }
+        Self { stream, buf: Vec::with_capacity(1024), served: 0 }
     }
 
     pub(crate) fn stream(&self) -> &TcpStream {
@@ -336,17 +327,17 @@ impl ConnState {
 
     /// Whether the carry-over buffer already holds one complete
     /// pipelined request (head + body) — servable without reading the
-    /// socket, so the reactor must not park the connection yet. A
-    /// request the framer refuses counts too: serving it now yields the
-    /// error response and a close without waiting for bytes that may
-    /// never come.
-    pub(crate) fn has_buffered_request(&self) -> bool {
+    /// socket, so the connection must not be parked yet. A request the
+    /// framer refuses counts too: serving it now yields the error
+    /// response and a close without waiting for bytes that may never
+    /// come.
+    fn has_buffered_request(&self) -> bool {
         !matches!(frame(&self.buf, MAX_BODY), Frame::Incomplete { .. })
     }
 }
 
 /// Outcome of serving a single request on a connection.
-pub(crate) enum Exchange {
+enum Exchange {
     /// Response written, connection stays open for the next request.
     KeepAlive,
     /// The connection is done: client closed/asked to close, idle or
@@ -356,7 +347,7 @@ pub(crate) enum Exchange {
 
 /// A [`Read`] wrapper that remembers when the first byte of the current
 /// request arrived — so the `parse` stage measures parsing, not the
-/// keep-alive idle wait the threaded path spends blocked in `read`.
+/// keep-alive idle wait the portable path spends blocked in `read`.
 struct TimedReader<'s> {
     stream: &'s mut TcpStream,
     first_byte: Option<Instant>,
@@ -374,14 +365,14 @@ impl Read for TimedReader<'_> {
 
 /// Serves exactly one request off `conn`: read (through the carry-over
 /// buffer), route, respond. `count_idle` tracks the read wait in the
-/// `usi_http_connections_idle` gauge — the threaded path waits here,
-/// while the reactor accounts idleness in its epoll set instead.
+/// `usi_http_connections_idle` gauge — the portable path waits here,
+/// while the epoll loop counts the connections it parks instead.
 ///
 /// Every request gets a fresh [`TraceId`]: it rides the response as
 /// `X-Request-Id` (with a `Server-Timing` stage breakdown), tags every
 /// span the request records down the stack, and keys the flight
 /// recorder entry when the request turns out slow or errored.
-pub(crate) fn serve_one(
+fn serve_one(
     conn: &mut ConnState,
     catalog: &Catalog,
     config: ServerConfig,
@@ -410,26 +401,15 @@ pub(crate) fn serve_one(
     // error bodies, logs — carries the same id
     let trace_id = TraceId::generate();
     usi_obs::begin_request(trace_id);
-    let queue_wait = conn.pending_wait.take();
-    // parse began when this request's bytes first showed up: carried
-    // over from the previous read, or at the first byte off the socket
-    let parse_start = if had_buffered { entry } else { first_byte.unwrap_or(entry) };
-    // the request's clock starts when its pool job left the queue (the
-    // wait is part of what the client experienced), else at parse
-    let root_start = match queue_wait {
-        Some(wait) => entry.checked_sub(wait).unwrap_or(entry),
-        None => parse_start,
-    };
+    // the request's clock starts when its bytes first showed up:
+    // carried over from the previous read, or at the first byte off the
+    // socket
+    let root_start = if had_buffered { entry } else { first_byte.unwrap_or(entry) };
     if usi_obs::enabled() {
-        if let Some(wait) = queue_wait {
-            usi_obs::record_stage(
-                SpanGuard::since("queue", root_start).parent("http.request").finish_with(wait),
-            );
-        }
         usi_obs::record_stage(
-            SpanGuard::since("parse", parse_start)
+            SpanGuard::since("parse", root_start)
                 .parent("http.request")
-                .finish_with(parse_start.elapsed()),
+                .finish_with(root_start.elapsed()),
         );
     }
 
@@ -487,18 +467,11 @@ fn trace_headers(trace_id: TraceId) -> String {
     out
 }
 
-/// The reactor's job body: serve the request that epoll reported plus
-/// any complete requests the client pipelined behind it, then report
-/// whether the connection should be re-armed (`true`) or closed.
-/// `queue_wait` is how long this job sat in the pool queue — charged to
-/// the first request's trace as its `queue` stage.
-pub(crate) fn serve_ready(
-    conn: &mut ConnState,
-    catalog: &Catalog,
-    config: ServerConfig,
-    queue_wait: Duration,
-) -> bool {
-    conn.pending_wait = Some(queue_wait);
+/// The epoll loop's serving step: serve the request that epoll
+/// reported plus any complete requests the client pipelined behind it,
+/// then report whether the connection should be re-armed (`true`) or
+/// closed.
+pub(crate) fn serve_ready(conn: &mut ConnState, catalog: &Catalog, config: ServerConfig) -> bool {
     loop {
         match serve_one(conn, catalog, config, false) {
             Exchange::Close => return false,
@@ -521,34 +494,41 @@ pub(crate) fn close_connection(conn: ConnState) {
     let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
-/// Answers an over-capacity connect with the uniform JSON `503` body
-/// and closes it — never enters the pool or the reactor set.
-pub(crate) fn reject_over_capacity(mut stream: TcpStream) {
-    metrics::server().observe_request("other", 503, 0.0);
+/// Admission for an accepted connection, on either serving path: it
+/// counts against `open`, and past [`ServerConfig::max_connections`]
+/// it is answered with the uniform JSON `503` body and closed (`None`)
+/// before it reaches a worker or the epoll set. An admitted socket
+/// stays blocking, its reads bounded by the idle timeout.
+pub(crate) fn admit(
+    mut stream: TcpStream,
+    open: &AtomicUsize,
+    config: ServerConfig,
+) -> Option<TcpStream> {
+    // answers are single writes; never let Nagle hold one back
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let response = error_response(503, "connection limit reached (max_connections)");
-    let _ = write_response(&mut stream, &response, false, "");
-    let _ = stream.shutdown(Shutdown::Both);
+    // count first, so threads accepting at once cannot overshoot the
+    // limit together
+    if open.fetch_add(1, Ordering::SeqCst) >= config.max_connections.max(1) {
+        open.fetch_sub(1, Ordering::SeqCst);
+        metrics::server().observe_request("other", 503, 0.0);
+        let response = error_response(503, "connection limit reached (max_connections)");
+        let _ = write_response(&mut stream, &response, false, "");
+        let _ = stream.shutdown(Shutdown::Both);
+        return None;
+    }
+    let _ = stream.set_read_timeout(Some(config.idle_timeout.max(Duration::from_millis(1))));
+    metrics::server().connections_open.inc();
+    Some(stream)
 }
 
-/// One connection's request loop (thread-per-connection path): answer
-/// until the client closes, asks to close, idles past the timeout,
-/// errors, or exhausts the per-connection request budget. Bytes the
-/// client pipelined ahead of the current request stay in the carry-over
-/// buffer and feed the next iteration. `queue_wait` is how long the
-/// connection's job sat in the pool queue — the first request's `queue`
-/// stage.
-fn handle_connection(
-    stream: TcpStream,
-    catalog: &Catalog,
-    config: ServerConfig,
-    queue_wait: Duration,
-) {
-    metrics::server().connections_open.inc();
-    let _ = stream.set_read_timeout(Some(config.idle_timeout.max(Duration::from_millis(1))));
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+/// One connection's request loop (portable path): answer until the
+/// client closes, asks to close, idles past the timeout, errors, or
+/// exhausts the per-connection request budget. Bytes the client
+/// pipelined ahead of the current request stay in the carry-over buffer
+/// and feed the next iteration.
+fn handle_connection(stream: TcpStream, catalog: &Catalog, config: ServerConfig) {
     let mut conn = ConnState::new(stream);
-    conn.pending_wait = Some(queue_wait);
     while let Exchange::KeepAlive = serve_one(&mut conn, catalog, config, true) {}
     close_connection(conn);
 }
@@ -562,7 +542,7 @@ fn handle_connection(
 /// `routed` carries the parsed request plus the router-only elapsed
 /// time for requests that made it past parsing; parse failures pass
 /// `None` and are accounted under the `other` route. The root
-/// `http.request` span spans `root_start` (queue entry or first byte)
+/// `http.request` span spans `root_start` (the request's first byte)
 /// through now — response write included — so its stage children always
 /// sum to at most its duration.
 fn finish_request(
@@ -597,7 +577,7 @@ fn finish_request(
     root.trace_id = Some(trace_id);
     let stages = usi_obs::end_request().map(|(_, stages)| stages).unwrap_or_default();
     // the root's lifetime is the flight-recorder admission test: it is
-    // what the client experienced (queue wait and write included)
+    // what the client experienced (write included)
     let root_millis = root_elapsed.as_secs_f64() * 1e3;
     let flight_slow = config.flight_slow_ms.or(config.slow_query_ms);
     if response.status >= 400 || flight_slow.is_some_and(|t| root_millis >= t as f64) {
@@ -1950,6 +1930,38 @@ mod tests {
         stream.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty());
         handle.shutdown();
+    }
+
+    #[test]
+    fn portable_path_serves_keep_alive() {
+        // the thread-per-connection path targets without epoll run:
+        // the same observable behaviour for a few connections, each of
+        // which pins one of the four workers
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle =
+            serve_threaded(Arc::new(catalog()), listener, ServerConfig::with_workers(4)).unwrap();
+        let addr = handle.addr();
+
+        let mut conns: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let request = format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n");
+        for conn in &mut conns {
+            for _ in 0..2 {
+                conn.write_all(request.as_bytes()).unwrap();
+                let (head, _) = read_one_response(conn);
+                assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+                assert!(head.contains("Connection: keep-alive"), "{head}");
+            }
+        }
+        assert_eq!(handle.open_connections(), 3);
+        drop(conns);
+        let started = Instant::now();
+        while handle.open_connections() > 0 {
+            assert!(started.elapsed() < Duration::from_secs(5), "connections never closed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        handle.shutdown();
+        // every worker left its accept(): the port is released
+        assert!(TcpListener::bind(addr).is_ok());
     }
 
     #[test]

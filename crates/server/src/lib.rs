@@ -16,10 +16,12 @@
 //! * [`json`] — a hand-rolled JSON value/parser/encoder plus the API
 //!   encodings shared by the server, the CLI's `--json` mode and the
 //!   end-to-end tests;
-//! * [`http`] / [`pool`] — a minimal HTTP/1.1 front end on
-//!   `std::net::TcpListener` with a fixed-size worker pool and graceful
-//!   shutdown; [`framing`] decides where each message ends, for the
-//!   server and for the blocking client reader [`read_response`].
+//! * [`http`] — a minimal HTTP/1.1 front end on
+//!   `std::net::TcpListener`: a fixed set of worker threads that take
+//!   turns on one epoll set (Linux; elsewhere each blocks in `accept()`
+//!   and serves a connection to its end), with graceful shutdown;
+//!   [`framing`] decides where each message ends, for the server and
+//!   for the blocking client reader [`read_response`].
 //!
 //! ```no_run
 //! use std::net::TcpListener;
@@ -39,7 +41,6 @@ pub mod framing;
 pub mod http;
 pub mod json;
 pub(crate) mod metrics;
-pub mod pool;
 pub(crate) mod reactor;
 
 pub use catalog::{
@@ -49,4 +50,3 @@ pub use catalog::{
 pub use framing::{read_response, Reply};
 pub use http::{respond, serve, AccessLog, Response, ServerConfig, ServerHandle};
 pub use json::{Json, JsonError};
-pub use pool::WorkerPool;

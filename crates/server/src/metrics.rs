@@ -30,7 +30,7 @@ const ROUTES: &[&str] = &[
     "other",
 ];
 
-/// Status labels actually produced by the router (plus the reactor's
+/// Status labels actually produced by the router (plus the
 /// over-capacity 503) and a catch-all.
 const STATUSES: &[&str] = &["200", "400", "404", "405", "409", "413", "500", "503", "other"];
 
@@ -45,23 +45,12 @@ pub(crate) struct ServerMetrics {
     pub requests_in_flight: Arc<Gauge>,
     pub requests_per_connection: Arc<Histogram>,
     pub slow_requests_total: Arc<Counter>,
-    /// Connections dispatched by the reactor and not yet re-armed or
-    /// closed — the reactor's run queue (queued + running pool jobs).
-    pub reactor_runq: Arc<Gauge>,
-    /// `epoll_wait` returns on the reactor thread (readiness, timer
-    /// ticks and eventfd wakes all count — the reactor's duty cycle).
+    /// `epoll_wait` returns across every worker (readiness, timer ticks
+    /// and the shutdown wake all count — the loop's duty cycle).
     pub reactor_wakeups_total: Arc<Counter>,
-    pub pool_queue_depth: Arc<Gauge>,
+    /// `usi_pool_jobs_in_flight` — workers serving a connection right
+    /// now; pinned at `--workers`, every worker is busy.
     pub pool_in_flight: Arc<Gauge>,
-    pub pool_jobs_total: Arc<Counter>,
-    pub pool_saturation_total: Arc<Counter>,
-    /// `usi_pool_queue_wait_seconds` — how long each job sat queued
-    /// before a worker picked it up (the `queue` stage of a trace).
-    pub pool_queue_wait: Arc<Histogram>,
-    /// `usi_reactor_dispatch_seconds` — reactor dispatch of a readable
-    /// connection to its job starting on a worker (queue wait plus
-    /// submit overhead, as the reactor experiences it).
-    pub reactor_dispatch_seconds: Arc<Histogram>,
     /// `usi_doc_queries_total{doc}` — resolved per [`crate::Doc`] at
     /// registration, not per query.
     pub doc_queries: CounterVec,
@@ -112,38 +101,12 @@ impl ServerMetrics {
                 "usi_http_slow_requests_total",
                 "Requests slower than the configured --slow-query-ms threshold",
             ),
-            reactor_runq: registry.gauge(
-                "usi_reactor_runq",
-                "Connections the reactor has dispatched to the worker pool and \
-                 not yet re-armed or closed",
-            ),
             reactor_wakeups_total: registry.counter(
                 "usi_reactor_wakeups_total",
-                "Times the reactor's epoll_wait returned (events, timers, wakes)",
-            ),
-            pool_queue_depth: registry.gauge(
-                "usi_pool_queue_depth",
-                "Connections queued for a worker and not yet picked up",
+                "Times a worker's epoll_wait returned (events, timers, wakes)",
             ),
             pool_in_flight: registry
-                .gauge("usi_pool_jobs_in_flight", "Pool jobs currently running on a worker"),
-            pool_jobs_total: registry
-                .counter("usi_pool_jobs_total", "Jobs ever submitted to the worker pool"),
-            pool_saturation_total: registry.counter(
-                "usi_pool_saturation_total",
-                "Jobs submitted while every pool worker was already busy",
-            ),
-            pool_queue_wait: registry.histogram(
-                "usi_pool_queue_wait_seconds",
-                "Time a job waited in the pool queue before a worker picked it up",
-                default_latency_buckets(),
-            ),
-            reactor_dispatch_seconds: registry.histogram(
-                "usi_reactor_dispatch_seconds",
-                "Time from reactor dispatch of a readable connection to its \
-                 job starting on a worker",
-                default_latency_buckets(),
-            ),
+                .gauge("usi_pool_jobs_in_flight", "Workers currently serving a connection"),
             doc_queries: registry.counter_vec(
                 "usi_doc_queries_total",
                 "Patterns answered, by document",

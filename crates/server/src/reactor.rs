@@ -1,48 +1,40 @@
-//! A readiness-driven connection reactor: epoll parks idle keep-alive
-//! sockets so they cost a file descriptor, not a worker thread.
+//! The serving loop: every worker waits on one shared epoll set, so an
+//! idle keep-alive socket costs a file descriptor, not a thread, and a
+//! ready request is served on the thread that sees it.
 //!
-//! PR 5's keep-alive pinned one [`WorkerPool`] thread per open
-//! connection — a handful of idle clients starved the pool. Here a
-//! single reactor thread owns the listener plus every **idle** socket
-//! in its epoll interest set; when a socket turns readable it is
-//! deregistered and dispatched to the pool, whose job runs the ordinary
-//! per-request parse/serve path ([`crate::http::serve_ready`]: the
-//! carry-over buffer, pipelining bounds and `Connection` semantics are
-//! exactly the threaded path's) and then hands the connection *back* to
-//! the reactor instead of looping — so a worker is borrowed per
-//! request, never per connection.
+//! Each of the [`ServerConfig::workers`] threads runs the same loop:
+//! take **one** event from the epoll set (`maxevents` 1), serve that
+//! connection through [`crate::http::serve_ready`] (the carry-over
+//! buffer, pipelining bounds and `Connection` semantics are the
+//! portable path's), then re-arm it with `EPOLL_CTL_MOD`. Connections
+//! are registered `EPOLLONESHOT`, so the kernel reports a readable
+//! socket to exactly one worker and never again until that worker
+//! re-arms it: workers take turns on one event source
+//! (Leader/Followers) with no hand-off between threads. A request that
+//! stalls mid-head holds only the worker that took it.
 //!
-//! The pieces, all std-only in the same locally-declared-FFI style
-//! `usi_core::storage` uses for `mmap`:
+//! The same loop accepts (the listener is level-triggered and
+//! non-blocking), applies `max_connections` admission (a connect past
+//! the limit is answered `503` with the uniform JSON error body and
+//! closed before it consumes a slot), and evicts idle connections from
+//! a coarse [`TimerWheel`]: expiring ten thousand idle connections
+//! costs one wheel pass, not ten thousand blocked threads. Shutdown
+//! writes an eventfd registered in the set; it stays readable, so
+//! every worker wakes and exits, and no throwaway connection is needed.
 //!
-//! * [`ffi`] — `epoll_create1`/`epoll_ctl`/`epoll_wait` and `eventfd`,
-//!   the four Linux calls a readiness loop needs (fds are closed by
-//!   `OwnedFd`, so no `close` declaration);
-//! * [`TimerWheel`] — coarse hashed-wheel idle timeouts, replacing the
-//!   threaded path's per-socket `set_read_timeout` park: expiring ten
-//!   thousand idle connections costs one wheel tick, not ten thousand
-//!   blocked threads;
-//! * an **eventfd** registered in the epoll set — worker jobs write it
-//!   to hand finished connections back for re-arming, and
-//!   [`crate::ServerHandle::shutdown`] writes it to stop the loop (the
-//!   threaded path's throwaway wake-up connection is gone);
-//! * `max_connections` admission control: a connect past the limit is
-//!   answered `503` (uniform JSON error body) and closed before it can
-//!   consume a slot.
+//! The epoll and eventfd calls are declared locally ([`ffi`]), in the
+//! std-only style `usi_core::storage` uses for `mmap`; descriptors are
+//! closed by `OwnedFd`, and closing a socket removes it from the set.
 //!
-//! On non-Linux targets [`SUPPORTED`] is `false` and `http::serve`
-//! falls back to the portable thread-per-connection path — the same
-//! gating pattern as the mmap owned-bytes fallback.
-
-/// Whether this build has the epoll reactor ([`serve`] may be called).
-pub(crate) const SUPPORTED: bool = cfg!(target_os = "linux");
+//! Targets without epoll run the portable thread-per-connection path
+//! in `http.rs` instead; `http::serve` picks by `cfg!(target_os)`.
 
 #[cfg(target_os = "linux")]
 pub(crate) use imp::serve;
 
-/// Stub for targets without epoll: `http::serve` checks [`SUPPORTED`]
-/// first, so this is never reached — it exists so the crate compiles
-/// identically everywhere.
+/// Stub for targets without epoll: `http::serve` takes the portable
+/// path there, so this is never reached. It exists so the crate
+/// compiles identically everywhere.
 #[cfg(not(target_os = "linux"))]
 pub(crate) fn serve(
     _catalog: std::sync::Arc<crate::Catalog>,
@@ -51,7 +43,7 @@ pub(crate) fn serve(
 ) -> std::io::Result<crate::ServerHandle> {
     Err(std::io::Error::new(
         std::io::ErrorKind::Unsupported,
-        "the epoll reactor is Linux-only; http::serve falls back before calling this",
+        "the epoll serving loop is Linux-only; http::serve falls back before calling this",
     ))
 }
 
@@ -59,26 +51,20 @@ pub(crate) fn serve(
 mod imp {
     use crate::catalog::Catalog;
     use crate::http::{
-        close_connection, reject_over_capacity, serve_ready, ConnState, ServerConfig, ServerHandle,
-        WakeStrategy,
+        admit, close_connection, serve_ready, ConnState, ServerConfig, ServerHandle, WakeStrategy,
     };
     use crate::metrics;
-    use crate::pool::{ConnVerdict, WorkerPool};
     use std::collections::HashMap;
     use std::fs::File;
-    use std::io::{self, Read};
+    use std::io;
     use std::net::TcpListener;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::mpsc::{channel, Receiver, Sender};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
-    /// Write-side socket timeout for connections the reactor owns.
-    const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
-
     mod ffi {
-        //! The four Linux calls a readiness loop needs, declared locally
+        //! The Linux calls the serving loop needs, declared locally
         //! because the workspace is std-only (no `libc` crate) — the
         //! same pattern as `usi_core::storage`'s mmap FFI. Constants
         //! match the kernel UAPI headers.
@@ -87,9 +73,10 @@ mod imp {
 
         pub const EPOLL_CLOEXEC: c_int = 0o2000000;
         pub const EPOLL_CTL_ADD: c_int = 1;
-        pub const EPOLL_CTL_DEL: c_int = 2;
+        pub const EPOLL_CTL_MOD: c_int = 3;
         pub const EPOLLIN: u32 = 0x001;
         pub const EPOLLRDHUP: u32 = 0x2000;
+        pub const EPOLLONESHOT: u32 = 1 << 30;
         pub const EFD_CLOEXEC: c_int = 0o2000000;
         pub const EFD_NONBLOCK: c_int = 0o4000;
 
@@ -101,7 +88,7 @@ mod imp {
         #[derive(Clone, Copy)]
         pub struct EpollEvent {
             pub events: u32,
-            /// User cookie: the reactor stores its connection token here.
+            /// User cookie: the loop stores a connection token here.
             pub data: u64,
         }
 
@@ -117,6 +104,10 @@ mod imp {
             pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
         }
     }
+
+    /// What a connection waits for: readable or peer shutdown, reported
+    /// once per arm. (`EPOLLERR`/`EPOLLHUP` are always reported.)
+    const CONN_EVENTS: u32 = ffi::EPOLLIN | ffi::EPOLLRDHUP | ffi::EPOLLONESHOT;
 
     /// Thin safe wrapper over one epoll instance.
     struct Epoll {
@@ -135,54 +126,38 @@ mod imp {
             Ok(Self { fd: unsafe { OwnedFd::from_raw_fd(fd) } })
         }
 
-        /// Adds `fd` to the interest set, readable-or-peer-shutdown.
-        /// (`EPOLLERR`/`EPOLLHUP` are always reported; they need no
-        /// subscription.)
-        fn add(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            let mut event = ffi::EpollEvent { events: ffi::EPOLLIN | ffi::EPOLLRDHUP, data: token };
+        /// Adds (`EPOLL_CTL_ADD`) or re-arms (`EPOLL_CTL_MOD`) `fd` for
+        /// `events`, tagged with `token`.
+        fn ctl(&self, op: std::ffi::c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+            let mut event = ffi::EpollEvent { events, data: token };
             // SAFETY: `event` outlives the call; the kernel copies it.
-            let rc =
-                unsafe { ffi::epoll_ctl(self.fd.as_raw_fd(), ffi::EPOLL_CTL_ADD, fd, &mut event) };
+            let rc = unsafe { ffi::epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut event) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
             }
             Ok(())
         }
 
-        fn del(&self, fd: RawFd) {
+        /// Blocks up to `timeout_ms` (-1 = forever) for one event and
+        /// returns its token; a timeout or EINTR returns `None`.
+        fn wait(&self, timeout_ms: i32) -> io::Result<Option<u64>> {
             let mut event = ffi::EpollEvent { events: 0, data: 0 };
-            // SAFETY: as in `add`; a failed DEL (fd already closed) is
-            // harmless — the kernel removed it on close.
-            let _ =
-                unsafe { ffi::epoll_ctl(self.fd.as_raw_fd(), ffi::EPOLL_CTL_DEL, fd, &mut event) };
-        }
-
-        /// Blocks up to `timeout_ms` (-1 = forever) for events; EINTR
-        /// reads as zero events, letting the caller loop.
-        fn wait(&self, events: &mut [ffi::EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-            // SAFETY: `events` is a live, writable buffer of the length
-            // passed; the kernel fills at most that many entries.
-            let n = unsafe {
-                ffi::epoll_wait(
-                    self.fd.as_raw_fd(),
-                    events.as_mut_ptr(),
-                    events.len() as i32,
-                    timeout_ms,
-                )
-            };
+            // SAFETY: `event` is a live, writable buffer of the one
+            // entry passed as `maxevents`.
+            let n = unsafe { ffi::epoll_wait(self.fd.as_raw_fd(), &mut event, 1, timeout_ms) };
             if n < 0 {
                 let err = io::Error::last_os_error();
                 if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
+                    return Ok(None);
                 }
                 return Err(err);
             }
-            Ok(n as usize)
+            Ok((n > 0).then_some(event.data))
         }
     }
 
-    /// Creates the reactor's wake eventfd (non-blocking so draining the
-    /// counter never stalls the loop).
+    /// Creates the shutdown eventfd (non-blocking, and never drained:
+    /// once written it stays readable for every worker).
     fn new_eventfd() -> io::Result<File> {
         // SAFETY: plain syscall; failure is a negative return.
         let fd = unsafe { ffi::eventfd(0, ffi::EFD_CLOEXEC | ffi::EFD_NONBLOCK) };
@@ -193,16 +168,19 @@ mod imp {
         Ok(File::from(unsafe { OwnedFd::from_raw_fd(fd) }))
     }
 
+    /// Slots in the idle wheel. Fixed, so the wheel's size does not
+    /// grow with the idle timeout: a deadline more than one lap away
+    /// lands in a slot that fires a lap early, and the caller's
+    /// `deadline > now` check schedules it again.
+    const WHEEL_SLOTS: usize = 64;
+
     /// A coarse hashed timer wheel for idle-connection deadlines.
     ///
-    /// Deadlines land in one of `slots.len()` buckets by tick number
-    /// (ceil-rounded, so an entry never fires before its deadline);
-    /// advancing the wheel to "now" drains every passed bucket. All
-    /// entries share one horizon (the idle timeout), so the wheel never
-    /// needs cascading — a token scheduled now always fits within one
-    /// revolution. Entries are lazily validated against the connection
-    /// map on expiry, so a token whose connection was dispatched (and
-    /// re-registered under a fresh token) simply misses and is dropped.
+    /// Deadlines land in one of [`WHEEL_SLOTS`] buckets by tick number
+    /// (ceil-rounded, so an entry within one lap never fires before its
+    /// deadline); advancing the wheel to "now" drains every passed
+    /// bucket. Entries are validated against the connection table when
+    /// they fire, so the wheel holds bare tokens.
     struct TimerWheel {
         slots: Vec<Vec<u64>>,
         granularity: Duration,
@@ -220,8 +198,13 @@ mod imp {
             // eviction precision is one granule late at worst
             let granularity =
                 (horizon / 16).clamp(Duration::from_millis(20), Duration::from_secs(1));
-            let slots = (horizon.as_nanos() / granularity.as_nanos()) as usize + 2;
-            Self { slots: vec![Vec::new(); slots], granularity, start: now, cursor: 0, entries: 0 }
+            Self {
+                slots: vec![Vec::new(); WHEEL_SLOTS],
+                granularity,
+                start: now,
+                cursor: 0,
+                entries: 0,
+            }
         }
 
         fn tick_of(&self, t: Instant) -> u64 {
@@ -230,24 +213,27 @@ mod imp {
         }
 
         /// Schedules `token` to fire at the first tick boundary at or
-        /// after `deadline` (never early, at most one granule late).
+        /// after `deadline`, or a whole number of laps earlier when the
+        /// deadline is more than one lap away.
         fn schedule(&mut self, token: u64, deadline: Instant) {
             let tick = (self.tick_of(deadline) + 1).max(self.cursor + 1);
-            let slot = (tick % self.slots.len() as u64) as usize;
+            let slot = (tick % WHEEL_SLOTS as u64) as usize;
             self.slots[slot].push(token);
             self.entries += 1;
         }
 
         /// Advances the wheel to `now`, appending every due token to
-        /// `out`.
+        /// `out`. A gap longer than one lap drains each slot once, so
+        /// a wheel that sat empty for hours catches up in one lap.
         fn expire_into(&mut self, now: Instant, out: &mut Vec<u64>) {
             let now_tick = self.tick_of(now);
-            while self.cursor < now_tick {
-                self.cursor += 1;
-                let slot = (self.cursor % self.slots.len() as u64) as usize;
+            let from = self.cursor.max(now_tick.saturating_sub(WHEEL_SLOTS as u64));
+            for tick in from + 1..=now_tick {
+                let slot = (tick % WHEEL_SLOTS as u64) as usize;
                 self.entries -= self.slots[slot].len();
                 out.append(&mut self.slots[slot]);
             }
+            self.cursor = self.cursor.max(now_tick);
         }
 
         /// Milliseconds until the next tick boundary, or `None` when no
@@ -265,251 +251,220 @@ mod imp {
         }
     }
 
-    /// State shared between the reactor thread and its pool jobs.
-    struct Shared {
-        catalog: Arc<Catalog>,
-        config: ServerConfig,
-        /// Per-server open-connection count (also the `max_connections`
-        /// admission test); mirrors the process-global gauge.
-        open: Arc<AtomicUsize>,
-        /// Finished jobs hand connections back here for re-arming…
-        completions: Sender<ConnState>,
-        /// …then write the eventfd so the reactor notices.
-        wake: Arc<File>,
+    /// One connection, from accept to close.
+    #[derive(Default)]
+    struct Slot {
+        /// The socket while it is parked; `None` while a worker serves it.
+        conn: Option<ConnState>,
+        /// When the parked socket idles out; `None` never does (the
+        /// timeout reaches past what `Instant` can hold).
+        deadline: Option<Instant>,
+        /// Whether the wheel holds this slot's token. It holds each
+        /// token at most once, however often the connection parks.
+        in_wheel: bool,
     }
 
-    impl Shared {
-        fn wake(&self) {
-            use std::io::Write;
-            let _ = (&*self.wake).write_all(&1u64.to_ne_bytes());
-        }
-
-        /// Closes a reactor-owned connection, keeping both counts right.
-        fn close(&self, conn: ConnState) {
-            self.open.fetch_sub(1, Ordering::SeqCst);
-            close_connection(conn);
-        }
+    /// Every open connection by token, and the idle wheel, under one
+    /// lock. Tokens are never reused, so a wheel entry or an event for
+    /// a closed connection can only miss, never hit another socket.
+    struct Table {
+        slots: HashMap<u64, Slot>,
+        wheel: TimerWheel,
+        next_token: u64,
     }
 
-    /// An idle connection parked in the epoll set.
-    struct Parked {
-        conn: ConnState,
-        deadline: Instant,
+    impl Table {
+        /// Removes every parked connection whose deadline passed into
+        /// `evicted`, and returns how long the next `epoll_wait` may
+        /// block (-1 when nothing is scheduled). The wheel hands tokens
+        /// back in deadline order, so eviction order is expiry order.
+        fn expire(
+            &mut self,
+            now: Instant,
+            due: &mut Vec<u64>,
+            evicted: &mut Vec<ConnState>,
+        ) -> i32 {
+            let Table { slots, wheel, .. } = self;
+            wheel.expire_into(now, due);
+            for token in due.drain(..) {
+                let Some(slot) = slots.get_mut(&token) else {
+                    continue; // closed since it was scheduled
+                };
+                match slot.deadline.filter(|_| slot.conn.is_some()) {
+                    // parked again since, or a lap early
+                    Some(deadline) if deadline > now => wheel.schedule(token, deadline),
+                    Some(_) => evicted.extend(slots.remove(&token).and_then(|slot| slot.conn)),
+                    // a worker is serving it: its next park schedules it
+                    None => slot.in_wheel = false,
+                }
+            }
+            wheel.next_timeout_ms(now).unwrap_or(-1)
+        }
     }
 
     const TOKEN_LISTENER: u64 = u64::MAX;
     const TOKEN_WAKE: u64 = u64::MAX - 1;
 
-    struct Reactor {
+    /// What every worker shares: the epoll set and what it watches.
+    struct Shared {
         epoll: Epoll,
         listener: TcpListener,
-        shared: Arc<Shared>,
+        catalog: Arc<Catalog>,
+        config: ServerConfig,
         stop: Arc<AtomicBool>,
-        completions: Receiver<ConnState>,
-        pool: WorkerPool,
-        /// Idle connections by token. Tokens are never reused, so a
-        /// stale wheel entry can only miss, never hit the wrong socket.
-        parked: HashMap<u64, Parked>,
-        wheel: TimerWheel,
-        next_token: u64,
+        /// Per-server open-connection count (also the `max_connections`
+        /// admission test); mirrors the process-global gauge.
+        open: Arc<AtomicUsize>,
+        table: Mutex<Table>,
     }
 
-    impl Reactor {
-        fn run(mut self) {
+    impl Shared {
+        fn table(&self) -> MutexGuard<'_, Table> {
+            // serving runs with the table unlocked; only bookkeeping
+            // that cannot fail runs under it
+            self.table.lock().expect("no worker panics while holding the connection table")
+        }
+
+        /// One worker's loop: evict what idled out, wait for one event,
+        /// handle it. Exits when shutdown's eventfd write wakes it.
+        fn run(&self) {
             let m = metrics::server();
-            let mut events = vec![ffi::EpollEvent { events: 0, data: 0 }; 1024];
-            let mut due = Vec::new();
+            let (mut due, mut evicted) = (Vec::new(), Vec::new());
             loop {
-                let timeout = self.wheel.next_timeout_ms(Instant::now()).unwrap_or(-1);
-                let n = match self.epoll.wait(&mut events, timeout) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        // an unusable epoll fd is unrecoverable; closing
-                        // the loop lets shutdown proceed instead of
-                        // spinning
-                        eprintln!("usi-reactor: epoll_wait failed, stopping: {e}");
-                        break;
-                    }
-                };
+                let timeout = self.table().expire(Instant::now(), &mut due, &mut evicted);
+                for conn in evicted.drain(..) {
+                    m.connections_idle.dec();
+                    self.close(conn);
+                }
+                let event = self.epoll.wait(timeout);
                 m.reactor_wakeups_total.inc();
                 if self.stop.load(Ordering::SeqCst) {
                     break;
                 }
-                for event in events.iter().take(n).copied() {
-                    match event.data {
-                        TOKEN_LISTENER => self.accept_ready(),
-                        TOKEN_WAKE => self.drain_wake(),
-                        token => self.dispatch(token),
+                match event {
+                    Ok(Some(TOKEN_LISTENER)) => self.accept_ready(),
+                    Ok(Some(TOKEN_WAKE) | None) => {}
+                    Ok(Some(token)) => self.serve(token),
+                    Err(e) => {
+                        // an unusable epoll fd is unrecoverable; leaving
+                        // the loop lets shutdown proceed
+                        eprintln!("usi-worker: epoll_wait failed, stopping: {e}");
+                        break;
                     }
                 }
-                // jobs finished since the last pass: park their
-                // connections again (or serve the bytes that already
-                // arrived — level-triggered epoll re-fires immediately)
-                while let Ok(conn) = self.completions.try_recv() {
-                    self.park(conn);
-                }
-                self.evict_expired(&mut due);
             }
-            self.drain_on_shutdown();
+            self.drain();
         }
 
         /// Accepts until the listener runs dry (it is non-blocking).
-        fn accept_ready(&mut self) {
-            let m = metrics::server();
+        fn accept_ready(&self) {
             loop {
                 let stream = match self.listener.accept() {
                     Ok((stream, _)) => stream,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                     Err(_) => {
                         // EMFILE/ECONNABORTED under flood: brief backoff;
-                        // level-triggered epoll re-reports the listener
-                        // if connections are still pending
+                        // level-triggered epoll reports the listener
+                        // again if connections are still pending
                         std::thread::sleep(Duration::from_millis(10));
-                        break;
+                        return;
                     }
                 };
-                // answers are single writes; never let Nagle hold one
-                let _ = stream.set_nodelay(true);
-                if self.shared.open.load(Ordering::SeqCst)
-                    >= self.shared.config.max_connections.max(1)
-                {
-                    reject_over_capacity(stream);
-                    continue;
+                // readiness guarantees the first read of the blocking
+                // socket; its read timeout bounds a request that stalls
+                if let Some(stream) = admit(stream, &self.open, self.config) {
+                    self.park(None, ConnState::new(stream));
                 }
-                // a blocking read in a worker job is bounded the same
-                // way the threaded path bounds it
-                let _ = stream.set_read_timeout(Some(
-                    self.shared.config.idle_timeout.max(Duration::from_millis(1)),
-                ));
-                let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-                self.shared.open.fetch_add(1, Ordering::SeqCst);
-                m.connections_open.inc();
-                self.park(ConnState::new(stream));
             }
         }
 
-        /// Registers a connection in the epoll set with a fresh token
-        /// and idle deadline. A connection that came back from a job
-        /// with a complete pipelined request already buffered is
-        /// dispatched again instead (epoll cannot see bytes that left
-        /// the socket).
-        fn park(&mut self, conn: ConnState) {
-            if self.stop.load(Ordering::SeqCst) {
-                self.shared.close(conn);
+        /// Serves the connection behind `token`: the request epoll
+        /// reported plus any pipelined behind it, then parks it again or
+        /// closes it.
+        fn serve(&self, token: u64) {
+            let m = metrics::server();
+            let Some(mut conn) =
+                self.table().slots.get_mut(&token).and_then(|slot| slot.conn.take())
+            else {
+                return; // evicted after epoll reported it
+            };
+            m.connections_idle.dec();
+            m.pool_in_flight.inc();
+            let keep = serve_ready(&mut conn, &self.catalog, self.config);
+            m.pool_in_flight.dec();
+            if keep {
+                self.park(Some(token), conn);
+            } else {
+                self.table().slots.remove(&token);
+                self.close(conn);
+            }
+        }
+
+        /// Parks `conn` until it turns readable or idles out: `None`
+        /// registers a fresh connection, `Some(token)` re-arms one a
+        /// worker just served. The table stays locked across
+        /// `epoll_ctl`, so the worker that takes the next event finds
+        /// the connection in its slot.
+        fn park(&self, token: Option<u64>, conn: ConnState) {
+            let mut guard = self.table();
+            let table = &mut *guard;
+            let (token, op) = match token {
+                Some(token) => (token, ffi::EPOLL_CTL_MOD),
+                None => {
+                    table.next_token += 1;
+                    (table.next_token, ffi::EPOLL_CTL_ADD)
+                }
+            };
+            // shutting down, or the socket cannot be waited on (EMFILE
+            // on the epoll side, bad fd): close it instead
+            let armed = !self.stop.load(Ordering::SeqCst)
+                && self
+                    .epoll
+                    .ctl(op, conn.stream().as_raw_fd(), CONN_EVENTS, token)
+                    .map_err(|e| eprintln!("usi-worker: cannot wait on a connection: {e}"))
+                    .is_ok();
+            if !armed {
+                table.slots.remove(&token);
+                drop(guard);
+                self.close(conn);
                 return;
             }
-            if conn.has_buffered_request() {
-                self.submit(conn);
-                return;
+            let deadline = Instant::now().checked_add(self.config.idle_timeout);
+            let slot = table.slots.entry(token).or_default();
+            if let (Some(deadline), false) = (deadline, slot.in_wheel) {
+                table.wheel.schedule(token, deadline);
+                slot.in_wheel = true;
             }
-            let token = self.next_token;
-            self.next_token += 1;
-            if let Err(e) = self.epoll.add(conn.stream().as_raw_fd(), token) {
-                // registration failure (EMFILE on the epoll side, bad
-                // fd): the connection cannot be waited on — drop it
-                eprintln!("usi-reactor: cannot register connection: {e}");
-                self.shared.close(conn);
-                return;
-            }
-            let deadline = Instant::now() + self.shared.config.idle_timeout;
-            self.wheel.schedule(token, deadline);
-            self.parked.insert(token, Parked { conn, deadline });
+            slot.deadline = deadline;
+            slot.conn = Some(conn);
             metrics::server().connections_idle.inc();
         }
 
-        /// A parked socket turned readable (or hung up): pull it out of
-        /// the epoll set and hand it to the pool. Error'd/hung-up
-        /// sockets take the same path — the job's read observes the
-        /// EOF or reset and closes cleanly.
-        fn dispatch(&mut self, token: u64) {
-            let Some(parked) = self.parked.remove(&token) else {
-                return; // already evicted this pass
-            };
-            self.epoll.del(parked.conn.stream().as_raw_fd());
-            metrics::server().connections_idle.dec();
-            self.submit(parked.conn);
+        /// Closes a connection no slot holds, keeping both counts right.
+        fn close(&self, conn: ConnState) {
+            self.open.fetch_sub(1, Ordering::SeqCst);
+            close_connection(conn);
         }
 
-        /// Queues the serve job for a readable connection, stamping the
-        /// dispatch time so the lag between the reactor seeing
-        /// readiness and a worker picking the job up is measured
-        /// (`usi_reactor_dispatch_seconds`).
-        fn submit(&self, mut conn: ConnState) {
-            let m = metrics::server();
-            m.reactor_runq.inc();
-            let shared = Arc::clone(&self.shared);
-            let dispatched = Instant::now();
-            self.pool.execute(move |queue_wait| {
-                let m = metrics::server();
-                m.reactor_dispatch_seconds.observe(dispatched.elapsed().as_secs_f64());
-                let keep = serve_ready(&mut conn, &shared.catalog, shared.config, queue_wait);
-                m.reactor_runq.dec();
-                if keep {
-                    match shared.completions.send(conn) {
-                        Ok(()) => {
-                            shared.wake();
-                            return ConnVerdict::Rearm;
-                        }
-                        // reactor already gone (shutdown): close instead
-                        Err(back) => shared.close(back.0),
-                    }
-                } else {
-                    shared.close(conn);
+        /// Shutdown: closes every parked connection. One a worker is
+        /// still serving closes when that worker tries to park it.
+        fn drain(&self) {
+            let mut parked = Vec::new();
+            self.table().slots.retain(|_, slot| match slot.conn.take() {
+                Some(conn) => {
+                    parked.push(conn);
+                    false
                 }
-                ConnVerdict::Close
+                None => true,
             });
-        }
-
-        fn drain_wake(&self) {
-            let mut counter = [0u8; 8];
-            // non-blocking eventfd: a WouldBlock here just means another
-            // pass already consumed the counter
-            let _ = (&*self.shared.wake).read(&mut counter);
-        }
-
-        /// Closes every parked connection whose idle deadline passed.
-        /// The wheel hands tokens back in deadline order, so eviction
-        /// order equals expiry order.
-        fn evict_expired(&mut self, due: &mut Vec<u64>) {
-            let now = Instant::now();
-            self.wheel.expire_into(now, due);
-            for token in due.drain(..) {
-                let Some(parked) = self.parked.get(&token) else {
-                    continue; // dispatched or closed since scheduling
-                };
-                if parked.deadline > now {
-                    // only possible via clock coarseness; re-schedule
-                    let deadline = parked.deadline;
-                    self.wheel.schedule(token, deadline);
-                    continue;
-                }
-                let parked = self.parked.remove(&token).expect("checked above");
-                self.epoll.del(parked.conn.stream().as_raw_fd());
+            for conn in parked {
                 metrics::server().connections_idle.dec();
-                self.shared.close(parked.conn);
+                self.close(conn);
             }
-        }
-
-        /// Shutdown: let in-flight jobs finish (dropping the pool joins
-        /// its workers), then close everything still open. Connections
-        /// that turned readable mid-shutdown are simply closed — their
-        /// events were never processed.
-        fn drain_on_shutdown(self) {
-            let Reactor { pool, completions, parked, shared, .. } = self;
-            drop(pool); // queued + running jobs drain, workers join
-            while let Ok(conn) = completions.try_recv() {
-                shared.close(conn);
-            }
-            let m = metrics::server();
-            for (_, parked) in parked {
-                m.connections_idle.dec();
-                shared.close(parked.conn);
-            }
-            // epoll fd and listener close on drop
         }
     }
 
-    /// Starts the reactor thread serving `catalog` on `listener`.
+    /// Starts `config.workers` threads serving `catalog` on `listener`.
     pub(crate) fn serve(
         catalog: Arc<Catalog>,
         listener: TcpListener,
@@ -519,42 +474,39 @@ mod imp {
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
         let wake = Arc::new(new_eventfd()?);
-        epoll.add(listener.as_raw_fd(), TOKEN_LISTENER)?;
-        epoll.add(wake.as_raw_fd(), TOKEN_WAKE)?;
+        epoll.ctl(ffi::EPOLL_CTL_ADD, listener.as_raw_fd(), ffi::EPOLLIN, TOKEN_LISTENER)?;
+        epoll.ctl(ffi::EPOLL_CTL_ADD, wake.as_raw_fd(), ffi::EPOLLIN, TOKEN_WAKE)?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let open = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = channel();
+        let wheel =
+            TimerWheel::new(config.idle_timeout.max(Duration::from_millis(1)), Instant::now());
         let shared = Arc::new(Shared {
+            epoll,
+            listener,
             catalog,
             config,
+            stop: Arc::clone(&stop),
             open: Arc::clone(&open),
-            completions: tx,
-            wake: Arc::clone(&wake),
+            table: Mutex::new(Table { slots: HashMap::new(), wheel, next_token: 0 }),
         });
-        let stop_flag = Arc::clone(&stop);
-        let now = Instant::now();
-        let thread = std::thread::Builder::new().name("usi-reactor".into()).spawn(move || {
-            Reactor {
-                epoll,
-                listener,
-                shared,
-                stop: stop_flag,
-                completions: rx,
-                pool: WorkerPool::new(config.workers),
-                parked: HashMap::new(),
-                wheel: TimerWheel::new(config.idle_timeout.max(Duration::from_millis(1)), now),
-                next_token: 0,
-            }
-            .run();
-        })?;
-        Ok(ServerHandle {
+        // a failed spawn drops the handle, which stops and joins the
+        // workers already running
+        let mut handle = ServerHandle {
             addr,
             stop,
-            thread: Some(thread),
+            threads: Vec::new(),
             waker: WakeStrategy::Eventfd(wake),
             open,
-        })
+        };
+        for i in 0..config.workers.max(1) {
+            let shared = Arc::clone(&shared);
+            let thread = std::thread::Builder::new()
+                .name(format!("usi-worker-{i}"))
+                .spawn(move || shared.run())?;
+            handle.threads.push(thread);
+        }
+        Ok(handle)
     }
 
     #[cfg(test)]
@@ -599,6 +551,52 @@ mod imp {
             wheel.schedule(7, t0 + Duration::from_millis(100)); // before the cursor
             wheel.expire_into(t0 + Duration::from_millis(500), &mut due);
             assert_eq!(due, [7]);
+        }
+
+        #[test]
+        fn timer_wheel_size_is_fixed_and_far_deadlines_lap() {
+            let t0 = Instant::now();
+            // a year, and the largest timeout a config can hold: the
+            // wheel is the same size as for the default five seconds
+            for horizon in [Duration::from_secs(5), Duration::from_secs(31_536_000), Duration::MAX]
+            {
+                assert_eq!(TimerWheel::new(horizon, t0).slots.len(), WHEEL_SLOTS);
+            }
+            // one-second granules: a deadline an hour out comes back
+            // once per 64-second lap, and re-scheduling it each time
+            // (what `Table::expire` does while `deadline > now`) fires
+            // it for good only once it is due
+            let mut wheel = TimerWheel::new(Duration::from_secs(3_600), t0);
+            let deadline = t0 + Duration::from_secs(3_600);
+            wheel.schedule(9, deadline);
+            let mut due = Vec::new();
+            let mut laps = 0;
+            let mut now = t0;
+            loop {
+                now += Duration::from_secs(1);
+                wheel.expire_into(now, &mut due);
+                if due.is_empty() {
+                    continue;
+                }
+                assert_eq!(due, [9]);
+                due.clear();
+                if deadline > now {
+                    laps += 1;
+                    wheel.schedule(9, deadline);
+                    continue;
+                }
+                break;
+            }
+            assert_eq!(laps, 3_600 / WHEEL_SLOTS, "one early firing per lap");
+            assert!(now >= deadline && now <= deadline + Duration::from_secs(2), "{:?}", now - t0);
+
+            // a day with nothing to expire: the next pass drains each
+            // slot once and leaves the cursor at "now"
+            wheel.schedule(10, now + Duration::from_secs(1));
+            let later = now + Duration::from_secs(86_400);
+            wheel.expire_into(later, &mut due);
+            assert_eq!(due, [10]);
+            assert_eq!(wheel.cursor, wheel.tick_of(later));
         }
     }
 }

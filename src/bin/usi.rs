@@ -14,7 +14,7 @@
 //!           [--compact-fanout F] [--segment-dir DIR]
 //!           [--slow-query-ms N] [--access-log off|text|json]
 //!           [--flight-slow-ms N] [--trace-capacity N]
-//!           [--max-connections N] [--idle-timeout-ms N] [--no-reactor]
+//!           [--max-connections N] [--idle-timeout-ms N]
 //!           [--repl-listen HOST:PORT] [--follow HOST:PORT | --follow-dir DIR]
 //!           [--shard HOST:PORT]… [--repl-poll-ms N]
 //! usi ingest <base.usix> --wal PATH [--seal-threshold N] [--compact-fanout F]
@@ -36,9 +36,14 @@
 //! Weights default to 1.0 per position; `--weights` reads
 //! whitespace-separated floats (one per text byte). `serve` runs the
 //! HTTP serving layer over every loaded index until stdin reaches EOF
-//! (or the process receives SIGINT); with `--ingest-wal DIR` every
-//! document becomes append-able (`POST /v1/docs/{id}/append`) with its
-//! write-ahead log at `DIR/<id>.usil`, replayed on startup. `ingest`
+//! (or the process receives SIGINT). Its `--workers` threads take turns
+//! waiting on one epoll set (Linux), each serving the connection it
+//! takes, so an idle keep-alive connection costs a descriptor, not a
+//! thread; `--idle-timeout-ms` evicts silent ones and
+//! `--max-connections` answers connects past the limit with a 503.
+//! With `--ingest-wal DIR` every document becomes append-able
+//! (`POST /v1/docs/{id}/append`) with its write-ahead log at
+//! `DIR/<id>.usil`, replayed on startup. `ingest`
 //! opens one base index + WAL directly: `--replay` recovers the log and
 //! answers `--query` patterns (crash-recovery check), otherwise stdin
 //! lines `append <text>` / `appendw <w> <text>` / `query <p>` / `stats`
@@ -107,7 +112,7 @@ struct Args {
 
 /// Flags that never take a value (so `--json idx.usix` does not swallow
 /// the index path as the flag's value).
-const BOOLEAN_FLAGS: &[&str] = &["json", "replay", "no-sync", "mmap", "no-reactor"];
+const BOOLEAN_FLAGS: &[&str] = &["json", "replay", "no-sync", "mmap"];
 
 impl Args {
     fn parse(raw: &[String]) -> Self {
@@ -401,9 +406,9 @@ fn cmd_serve(args: &Args) {
         let capacity: usize = capacity.parse().unwrap_or_else(|_| die("bad --trace-capacity"));
         usi_obs::tracer().set_capacity(capacity.max(1));
     }
-    // connection-scale knobs: the reactor parks idle keep-alive sockets
-    // in an epoll set (Linux; --no-reactor or other platforms fall back
-    // to thread-per-connection), max-connections bounds the descriptor
+    // connection-scale knobs: the workers park idle keep-alive sockets
+    // in one epoll set they all wait on (Linux; other platforms pin a
+    // worker per connection), max-connections bounds the descriptor
     // budget, idle-timeout-ms evicts silent clients
     let max_connections: Option<usize> = args
         .flag("max-connections")
@@ -411,7 +416,6 @@ fn cmd_serve(args: &Args) {
     let idle_timeout_ms: Option<u64> = args
         .flag("idle-timeout-ms")
         .map(|s| s.parse().unwrap_or_else(|_| die("bad --idle-timeout-ms")));
-    let no_reactor = args.has("no-reactor");
     let ingest_wal = args.flag("ingest-wal").map(std::path::PathBuf::from);
     let load_opts = usi::server::LoadOptions { mmap: args.has("mmap"), threads: 0 };
 
@@ -540,7 +544,6 @@ fn cmd_serve(args: &Args) {
     if let Some(ms) = idle_timeout_ms {
         config.idle_timeout = std::time::Duration::from_millis(ms.max(1));
     }
-    config.reactor = !no_reactor;
     let handle = usi::server::serve(Arc::clone(&catalog), listener, config)
         .unwrap_or_else(|e| die(&format!("cannot start server: {e}")));
     let mut shipper = None;

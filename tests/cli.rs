@@ -324,3 +324,70 @@ fn rebuilding_a_mapped_index_leaves_the_old_view_intact() {
         .collect();
     assert!(leftovers.is_empty(), "{leftovers:?}");
 }
+
+#[test]
+fn serve_accepts_the_largest_idle_timeout() {
+    use std::io::{BufRead, Read};
+    use std::process::Stdio;
+
+    let text_path = tmp("t11.txt");
+    std::fs::write(&text_path, b"abracadabra_abracadabra").unwrap();
+    let index_path = tmp("t11.usix");
+    let out = usi()
+        .args([
+            "build",
+            text_path.to_str().unwrap(),
+            "--k",
+            "8",
+            "-o",
+            index_path.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // u64::MAX milliseconds: the idle wheel keeps its fixed size and the
+    // parked connection's deadline never expires
+    let mut child = usi()
+        .args([
+            "serve",
+            index_path.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--idle-timeout-ms",
+            "18446744073709551615",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let stdin = child.stdin.take().unwrap();
+    let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
+    let addr: std::net::SocketAddr = loop {
+        let mut line = String::new();
+        assert_ne!(stderr.read_line(&mut line).unwrap(), 0, "server exited before its banner");
+        if let Some(rest) = line.split("http://").nth(1) {
+            break rest.split_whitespace().next().unwrap().parse().unwrap();
+        }
+    };
+
+    // two requests on one kept-alive connection: it parks between them
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+    for _ in 0..2 {
+        stream
+            .write_all(format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
+            .unwrap();
+        let reply = usi::server::read_response(&mut stream, &mut Vec::new()).unwrap();
+        assert_eq!(reply.status, 200);
+        assert!(reply.body.starts_with(r#"{"status":"ok","docs":1"#), "{}", reply.body);
+    }
+
+    drop(stdin); // EOF → graceful shutdown closes the parked connection
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).unwrap();
+    assert!(child.wait().unwrap().success(), "server exit: {rest}");
+}
