@@ -1,6 +1,7 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §4:
-//! LCE backend inside Approximate-Top-K, plain vs LCP-accelerated
-//! suffix-array search, and the fast hasher behind the hash table `H`.
+//! Ablation benchmarks for the design choices the index rests on: the
+//! LCE backend inside Approximate-Top-K, the suffix-array locator on
+//! long patterns, the hasher and key of the hash table `H`, and how
+//! phase (ii) marks its entries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
@@ -8,7 +9,7 @@ use usi_core::oracle::TopKOracle;
 use usi_core::{approximate_top_k, ApproxConfig, UsiIndex};
 use usi_datasets::Dataset;
 use usi_strings::{Fingerprinter, FxHashMap, GlobalUtility};
-use usi_suffix::{lcp_array, suffix_array, EsaSearcher, LceBackend, SuffixArraySearcher};
+use usi_suffix::{lcp_array, suffix_array, LceBackend, SuffixArraySearcher};
 
 fn bench_lce_backends(c: &mut Criterion) {
     // DNA has enough repeat structure that the backends separate.
@@ -32,8 +33,8 @@ fn bench_sa_search(c: &mut Criterion) {
     let ws = Dataset::Xml.generate(100_000, 7);
     let sa = suffix_array(ws.text());
     let searcher = SuffixArraySearcher::new(ws.text(), &sa);
-    // long patterns with long shared prefixes: the regime where the
-    // accelerated search skips work
+    // long patterns with long shared prefixes: each comparison reads
+    // far into the suffix before it decides
     let patterns: Vec<&[u8]> = (0..64).map(|i| &ws.text()[i * 37..i * 37 + 200]).collect();
     let mut group = c.benchmark_group("ablation_sa_search");
     group.bench_function("plain_binary_search", |b| {
@@ -42,20 +43,6 @@ fn bench_sa_search(c: &mut Criterion) {
                 .iter()
                 .map(|p| searcher.interval(p).map(|r| r.len()).unwrap_or(0))
                 .sum::<usize>()
-        })
-    });
-    group.bench_function("lcp_accelerated", |b| {
-        b.iter(|| {
-            patterns
-                .iter()
-                .map(|p| searcher.interval_accelerated(p).map(|r| r.len()).unwrap_or(0))
-                .sum::<usize>()
-        })
-    });
-    let esa = EsaSearcher::new(ws.text());
-    group.bench_function("interval_tree_descent", |b| {
-        b.iter(|| {
-            patterns.iter().map(|p| esa.interval(p).map(|r| r.len()).unwrap_or(0)).sum::<usize>()
         })
     });
     group.finish();

@@ -8,7 +8,7 @@
 //!
 //! Each experiment prints aligned tables and writes TSVs under
 //! `reports/` (override with `--out DIR`). `--scale` multiplies every
-//! dataset length (defaults are already laptop-scaled; see DESIGN.md §3).
+//! dataset length (defaults are already laptop-scaled).
 
 use std::time::Instant;
 use usi_bench::context::ExperimentContext;

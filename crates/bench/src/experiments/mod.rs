@@ -1,5 +1,5 @@
 //! The experiment registry: every table and figure of the paper maps to
-//! one entry here (see DESIGN.md §4 for the index).
+//! one entry here, and `experiments list` prints the index.
 
 pub mod effectiveness;
 pub mod example2;

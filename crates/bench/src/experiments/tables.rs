@@ -118,7 +118,7 @@ pub fn table1(ctx: &ExperimentContext) -> Vec<Report> {
 pub fn table2(ctx: &ExperimentContext) -> Vec<Report> {
     let mut report = Report::new(
         "table2",
-        "Dataset properties and defaults (Table II; lengths scaled, see EXPERIMENTS.md)",
+        "Dataset properties and defaults (Table II; lengths scaled to laptop size)",
         &["dataset", "n", "sigma", "K", "s", "distinct substrings", "tau_K", "L_K"],
     );
     for ds in ctx.datasets() {

@@ -2,10 +2,10 @@
 //! paper (Bernardini et al., ICDE 2025), plus shared plumbing for the
 //! Criterion micro-benchmarks.
 //!
-//! Run `cargo run -p usi-bench --release --bin experiments -- list` for
+//! Run `cargo run -p usi_bench --release --bin experiments -- list` for
 //! the experiment catalogue; each experiment prints paper-shaped rows to
-//! stdout and writes a TSV under `reports/`. The mapping from experiment
-//! id to paper artifact is in `DESIGN.md` §4 and `EXPERIMENTS.md`.
+//! stdout and writes a TSV under `reports/`. `list` also names the paper
+//! artifact each experiment id regenerates.
 
 pub mod context;
 pub mod experiments;

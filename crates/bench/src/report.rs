@@ -1,5 +1,6 @@
 //! Plain-text experiment reports: aligned tables on stdout plus TSV
-//! files under `reports/` (no serde — see DESIGN.md dependency policy).
+//! files under `reports/` (no serde: the workspace takes no registry
+//! dependencies).
 
 use std::fs;
 use std::io::Write;

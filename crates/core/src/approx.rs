@@ -15,8 +15,8 @@
 //! frequencies never exceed the truth.
 //!
 //! Time `Õ(n + sK)`; tracked working space `O(n/s + K)` on top of the
-//! text and the (shared) LCE oracle — see DESIGN.md §3 for the
-//! substitution of Prezza's in-place LCE structure.
+//! text and the (shared) LCE oracle, which stands in for Prezza's
+//! in-place LCE structure (see [`usi_suffix::lce`]).
 
 use crate::oracle::TopKOracle;
 use crate::topk::TopKEstimate;

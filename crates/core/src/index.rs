@@ -5,8 +5,9 @@
 //! * hash table `H`: `(pattern length, Karp–Rabin fingerprint) →`
 //!   [`UtilityAccumulator`], holding the precomputed global utilities of
 //!   the top-K frequent substrings;
-//! * the text index: suffix array `SA(S)` (standing in for the suffix
-//!   tree, see DESIGN.md §3) locating infrequent patterns;
+//! * the text index: suffix array `SA(S)` locating infrequent patterns
+//!   (standing in for the suffix tree: `P`'s SA interval lists the same
+//!   occurrences as the leaves below `P`'s locus);
 //! * `PSW`: prefix sums of the weights, giving any occurrence's local
 //!   utility in `O(1)`.
 //!

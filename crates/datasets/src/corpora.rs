@@ -74,7 +74,7 @@ impl Dataset {
                 default_k_frac: 0.18 / 19.0, // 0.18M of 1.9·10⁷
                 // Table II uses s = 20 at n = 1.9·10⁷; s is O(log n)
                 // (Section VI), so the comparable choice at laptop scale
-                // is smaller. EXPERIMENTS.md records the deviation.
+                // is smaller.
                 default_s: 6,
                 pattern_len_range: (1, 20_000),
             },

@@ -8,8 +8,9 @@
 //! skew, repeat structure (planted long repeats for IOT, tag templates
 //! for XML, order-3 Markov DNA for HUM/ECOLI) — and its utility
 //! distribution (CTR, RSSI, phred-style confidence, or the paper's
-//! uniform `{0.7, 0.75, …, 1}` grid). See DESIGN.md §3 for why this
-//! substitution preserves the experiments' shapes.
+//! uniform `{0.7, 0.75, …, 1}` grid). The stand-ins keep what the
+//! experiments' shapes depend on; absolute figures differ from the
+//! paper's.
 //!
 //! Also provides the paper's two query-workload families `W1` and
 //! `W2,p` (Section IX-C, "Parameters").

@@ -776,6 +776,63 @@ mod tests {
                 fan_out_response_json(&refs, &fans).encode()
             );
         }
+
+        #[test]
+        fn nesting_to_the_depth_cap_round_trips(seed in any::<u64>(), levels in 0..=MAX_DEPTH) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for levels in [levels, MAX_DEPTH] {
+                let (mut text, mut too_deep) = (String::new(), None);
+                nest(&mut rng, 0, levels, &mut text, &mut too_deep);
+                prop_assert_eq!(too_deep, None);
+                prop_assert_eq!(Json::parse(&text).map(|v| v.encode()), Ok(text));
+            }
+        }
+
+        #[test]
+        fn one_level_past_the_cap_is_refused_where_it_starts(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut text, mut too_deep) = (String::new(), None);
+            nest(&mut rng, 0, MAX_DEPTH + 1, &mut text, &mut too_deep);
+            let err = Json::parse(&text).unwrap_err();
+            prop_assert_eq!((err.message, Some(err.offset)), ("nesting too deep", too_deep));
+        }
+    }
+
+    /// Writes, in canonical encoding, a random chain of arrays and
+    /// objects that nests a value `levels` deep (the top-level value is
+    /// at depth 0). Each container holds up to two shallow siblings
+    /// beside the next link; the innermost value is a scalar or an
+    /// empty container. `too_deep` gets the offset of the first value
+    /// nested past `MAX_DEPTH`.
+    fn nest(
+        rng: &mut StdRng,
+        depth: usize,
+        levels: usize,
+        out: &mut String,
+        too_deep: &mut Option<usize>,
+    ) {
+        if depth > MAX_DEPTH && too_deep.is_none() {
+            *too_deep = Some(out.len());
+        }
+        if depth == levels {
+            const LEAVES: [&str; 8] = ["null", "true", "false", "24", "-0.5", "\"s\"", "[]", "{}"];
+            out.push_str(LEAVES[rng.gen_range(0..LEAVES.len())]);
+            return;
+        }
+        let object = rng.gen_bool(0.5);
+        out.push(if object { '{' } else { '[' });
+        let width = rng.gen_range(1..=3);
+        let link = rng.gen_range(0..width);
+        for i in 0..width {
+            if i > 0 {
+                out.push(',');
+            }
+            if object {
+                out.push_str(&format!("\"k{i}\":"));
+            }
+            nest(rng, depth + 1, if i == link { levels } else { depth + 1 }, out, too_deep);
+        }
+        out.push(if object { '}' } else { ']' });
     }
 
     /// Pattern bytes that stress the encoder: quotes, backslashes,

@@ -5,7 +5,8 @@
 //! of its suffix comparisons through such an oracle; the paper uses
 //! Prezza's in-place structure (`O(1)` extra space, `polylog` query).
 //!
-//! We substitute a pluggable trait with three backends (see DESIGN.md §3):
+//! We substitute a pluggable trait with three backends, all answering
+//! the same `lce(i, j)`:
 //!
 //! * [`NaiveLce`] — `O(1)` space, `O(lce)` query: the right default for
 //!   texts without pathological repeats;

@@ -15,13 +15,15 @@
 //!   RMQ-based), the substitute for Prezza's in-place LCE structure;
 //! * [`esa`] — bottom-up lcp-interval enumeration (Abouelhoda et al.,
 //!   Algorithm 4.4): the explicit suffix-tree nodes with frequencies;
-//! * [`search`] — pattern location over the suffix array;
+//! * [`search`] — pattern location over the suffix array: one
+//!   equal-range binary search, `O(m log n)`. The suffix tree's `O(m)`
+//!   descent, simulated over an lcp-interval tree, lost to it on 3 of
+//!   the 4 dataset profiles, so it is not kept;
 //! * [`sparse`] — sparse suffix/LCP arrays over sampled positions, built
 //!   with LCE comparisons (Section VI, Step 2);
 //! * [`naive`] — quadratic reference implementations used by tests.
 
 pub mod esa;
-pub mod interval_tree;
 pub mod lce;
 pub mod lcp;
 pub mod naive;
@@ -31,7 +33,6 @@ pub mod search;
 pub mod sparse;
 
 pub use esa::{lcp_intervals, LcpInterval};
-pub use interval_tree::EsaSearcher;
 pub use lce::{FingerprintLce, LceBackend, LceOracle, NaiveLce, RmqLce};
 pub use lcp::{lcp_array, lcp_array_threads};
 pub use rmq::SparseTableRmq;

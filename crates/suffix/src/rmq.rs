@@ -1,8 +1,7 @@
 //! Sparse-table range-minimum queries.
 //!
 //! `O(n log n)` construction, `O(1)` query. Used by [`crate::lce::RmqLce`]
-//! to answer LCE queries as range minima over the LCP array, and available
-//! for LCP-accelerated suffix-array search.
+//! to answer LCE queries as range minima over the LCP array.
 
 use usi_strings::HeapSize;
 

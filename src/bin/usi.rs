@@ -11,7 +11,7 @@
 //! usi tradeoff <text-file> [--points N]
 //! usi serve <dir-or-.usix>… [--addr HOST:PORT] [--workers N] [--shards N]
 //!           [--mmap] [--ingest-wal DIR] [--seal-threshold N]
-//!           [--compact-fanout F] [--segment-dir DIR]
+//!           [--compact-fanout F] [--segment-dir DIR] [--threads N] [--no-sync]
 //!           [--slow-query-ms N] [--access-log off|text|json]
 //!           [--flight-slow-ms N] [--trace-capacity N]
 //!           [--max-connections N] [--idle-timeout-ms N]
@@ -21,6 +21,9 @@
 //!           [--threads N] [--weight W] [--no-sync] [--mmap]
 //!           [--segment-dir DIR] [--json] [--replay [--query P]…]
 //! ```
+//!
+//! Each subcommand takes only the flags listed for it; any other flag
+//! is a usage error that names it (exit 2).
 //!
 //! `--mmap` maps `.usix` files into memory
 //! (`usi_core::persist::open_mmap`) instead of reading their bytes onto
@@ -105,38 +108,85 @@ fn read_weights(path: &str, n: usize) -> Vec<f64> {
     weights
 }
 
+/// A subcommand: its entry point and the flags it accepts, each list
+/// space-separated.
+struct Command {
+    run: fn(&Args),
+    /// Flags that take the next argument as their value (`-o` is
+    /// `--out`).
+    flags: &'static str,
+    /// Flags that never take a value, so `--json idx.usix` does not
+    /// swallow the index path.
+    switches: &'static str,
+}
+
+impl Command {
+    fn named(name: &str) -> Option<Self> {
+        let (run, flags, switches): (fn(&Args), _, _) = match name {
+            "build" => (cmd_build, "weights uniform k tau approx agg local seed threads out", ""),
+            "query" => (cmd_query, "", "json mmap"),
+            "stats" => (cmd_stats, "", "mmap"),
+            "inspect" => (cmd_inspect, "", ""),
+            "topk" => (cmd_topk, "k min-len", ""),
+            "tradeoff" => (cmd_tradeoff, "points", ""),
+            "serve" => (
+                cmd_serve,
+                "addr workers shards ingest-wal seal-threshold compact-fanout threads \
+                 segment-dir slow-query-ms access-log flight-slow-ms trace-capacity \
+                 max-connections idle-timeout-ms repl-listen follow follow-dir shard repl-poll-ms",
+                "mmap no-sync",
+            ),
+            "ingest" => (
+                cmd_ingest,
+                "wal seal-threshold compact-fanout threads segment-dir weight query",
+                "no-sync mmap json replay",
+            ),
+            _ => return None,
+        };
+        Some(Self { run, flags, switches })
+    }
+}
+
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
-/// Flags that never take a value (so `--json idx.usix` does not swallow
-/// the index path as the flag's value).
-const BOOLEAN_FLAGS: &[&str] = &["json", "replay", "no-sync", "mmap"];
-
 impl Args {
-    fn parse(raw: &[String]) -> Self {
+    /// Splits `raw` into positionals and the flags `command` accepts;
+    /// any other flag is a usage error that names it.
+    fn parse(command_name: &str, command: &Command, raw: &[String]) -> Self {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < raw.len() {
-            if let Some(name) = raw[i].strip_prefix("--") {
-                let value = if BOOLEAN_FLAGS.contains(&name) {
-                    None
-                } else {
-                    raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned()
-                };
-                if value.is_some() {
+            let name = match raw[i].strip_prefix("--") {
+                Some(name) => name,
+                None if raw[i] == "-o" => "out",
+                None => {
+                    positional.push(raw[i].clone());
                     i += 1;
+                    continue;
                 }
-                flags.push((name.to_string(), value));
-            } else if raw[i] == "-o" {
-                let value = raw.get(i + 1).cloned();
-                i += 1;
-                flags.push(("out".into(), value));
+            };
+            let value = if command.switches.split_whitespace().any(|f| f == name) {
+                None
+            } else if command.flags.split_whitespace().any(|f| f == name) {
+                raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned()
             } else {
-                positional.push(raw[i].clone());
+                let known: Vec<String> = command
+                    .flags
+                    .split_whitespace()
+                    .chain(command.switches.split_whitespace())
+                    .map(|f| format!("--{f}"))
+                    .collect();
+                let known = if known.is_empty() { "no flags".into() } else { known.join(" ") };
+                die(&format!("{command_name} does not take {}; it takes {known}", raw[i]));
+            };
+            if value.is_some() {
+                i += 1;
             }
+            flags.push((name.to_string(), value));
             i += 1;
         }
         Self { positional, flags }
@@ -838,19 +888,11 @@ fn cmd_tradeoff(args: &Args) {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = raw.first().cloned() else {
+    let Some(name) = raw.first() else {
         die("usage: usi <build|query|stats|inspect|topk|tradeoff|serve|ingest> …");
     };
-    let args = Args::parse(&raw[1..]);
-    match command.as_str() {
-        "build" => cmd_build(&args),
-        "query" => cmd_query(&args),
-        "stats" => cmd_stats(&args),
-        "inspect" => cmd_inspect(&args),
-        "topk" => cmd_topk(&args),
-        "tradeoff" => cmd_tradeoff(&args),
-        "serve" => cmd_serve(&args),
-        "ingest" => cmd_ingest(&args),
-        other => die(&format!("unknown command {other}")),
-    }
+    let Some(command) = Command::named(name) else {
+        die(&format!("unknown command {name}"));
+    };
+    (command.run)(&Args::parse(name, &command, &raw[1..]));
 }

@@ -42,8 +42,9 @@
 //! | [`usi_server`] | sharded multi-index catalog, batch queries, HTTP serving layer |
 //! | [`usi_repl`] | log-shipping replication: WAL shipper, followers, remote fan-out backend |
 //!
-//! See `DESIGN.md` for the paper-to-module map and `EXPERIMENTS.md` for
-//! the reproduced tables and figures.
+//! The table above is the paper-to-module map; `experiments list` (the
+//! `usi_bench` binary) maps each reproduced table and figure to the
+//! experiment that regenerates it.
 
 pub use usi_baselines as baselines;
 pub use usi_core as core;

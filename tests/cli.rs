@@ -391,3 +391,76 @@ fn serve_accepts_the_largest_idle_timeout() {
     stderr.read_to_string(&mut rest).unwrap();
     assert!(child.wait().unwrap().success(), "server exit: {rest}");
 }
+
+/// Builds a small index for the flag tests and returns its path.
+fn flag_test_index(name: &str) -> String {
+    let text_path = tmp(&format!("{name}.txt"));
+    std::fs::write(&text_path, b"abracadabra_abracadabra").unwrap();
+    let index_path = tmp(&format!("{name}.usix"));
+    let index = index_path.to_str().unwrap().to_string();
+    let out = usi()
+        .args(["build", text_path.to_str().unwrap(), "--k", "8", "-o", &index])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    index
+}
+
+#[test]
+fn unknown_flags_exit_2_naming_the_flag() {
+    use std::process::Stdio;
+
+    let index = flag_test_index("t12");
+    // a flag before the index path must not swallow it as a value, one
+    // after it must not pass unnoticed (with stdin at EOF, a server that
+    // started would exit 0), and another subcommand's flag is unknown too
+    for (args, flag) in [
+        (&["serve", "--no-reactor", &index][..], "--no-reactor"),
+        (&["serve", &index, "--bogus-flag"][..], "--bogus-flag"),
+        (&["query", &index, "abra", "--k", "3"][..], "--k"),
+        (&["inspect", &index, "--mmap"][..], "--mmap"),
+    ] {
+        let out = usi().args(args).stdin(Stdio::null()).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("does not take {flag};")), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn serve_takes_the_flags_its_callers_pass() {
+    use std::process::Stdio;
+
+    let index = flag_test_index("t13");
+    let wal_dir = tmp("t13-wals");
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    // a primary and a follower with every flag CI and the benchmark
+    // pass; each starts, reads EOF on stdin and shuts down cleanly
+    let primary = [
+        "--mmap",
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "2",
+        "--ingest-wal",
+        wal_dir.to_str().unwrap(),
+        "--repl-listen",
+        "127.0.0.1:0",
+        "--seal-threshold",
+        "64",
+        "--compact-fanout",
+        "4",
+        "--slow-query-ms",
+        "500",
+        "--access-log",
+        "text",
+        "--idle-timeout-ms",
+        "1000",
+    ];
+    let follower =
+        ["--mmap", "--addr", "127.0.0.1:0", "--follow", "127.0.0.1:1", "--repl-poll-ms", "10"];
+    for flags in [&primary[..], &follower[..]] {
+        let out = usi().arg("serve").arg(&index).args(flags).stdin(Stdio::null()).output().unwrap();
+        assert!(out.status.success(), "{flags:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
