@@ -234,6 +234,11 @@ mod tests {
     fn overlapping_occurrences() {
         check_pattern(b"aaaaaa", b"aa");
         check_pattern(b"aaaaaa", b"aaa");
+    }
+
+    #[test]
+    fn unary_and_periodic() {
+        check_pattern(b"aaaaaa", b"aa");
         check_pattern(b"aaaaaa", b"aaaaaa");
         check_pattern(&b"ab".repeat(30), b"abab");
         check_pattern(&b"abc".repeat(20), b"cabc");
