@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks for index construction (behind Fig. 6q–t)
-//! and its substrate phases (SA-IS, LCP, oracle).
+//! and its substrate phases (SA-IS, LCP, the Section-V oracle, and the
+//! histogram selection that phase (i) of `UsiBuilder` runs instead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use usi_bench::experiments::methods::{build_method, Method};
 use usi_core::oracle::TopKOracle;
+use usi_core::TopKSelector;
 use usi_datasets::Dataset;
 use usi_suffix::{lcp_array, suffix_array};
 
@@ -39,6 +41,10 @@ fn bench_substrates(c: &mut Criterion) {
         let lcp = lcp_array(ws.text(), &sa);
         group.bench_with_input(BenchmarkId::new("topk_oracle", n), &(), |b, _| {
             b.iter(|| TopKOracle::new(ws.len(), &sa, &lcp))
+        });
+        let k = (n / 100).max(1);
+        group.bench_with_input(BenchmarkId::new("topk_select", n), &(), |b, _| {
+            b.iter(|| TopKSelector::new(&sa, &lcp).top_k(k))
         });
     }
     group.finish();

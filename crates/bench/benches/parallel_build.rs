@@ -4,10 +4,11 @@
 //! medians against `ci/nightly-thresholds.json`.
 //!
 //! The input is a ≥ 1 MiB DNA-like Markov text (the paper's HUM
-//! profile): realistic repeat structure, so the oracle's radix counts
-//! and the per-length phase-(ii) fan-out do representative work. The
-//! suffix and LCP arrays are serial at every thread count, so
-//! `parallel_substrates` times them once each.
+//! profile): realistic repeat structure, so the per-length phase-(ii)
+//! fan-out, the only parallel step, does representative work. The
+//! suffix and LCP arrays and phase (i)'s histogram selection are serial
+//! at every thread count; `parallel_substrates` times the two arrays
+//! once each.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use usi_core::{BuildOptions, UsiBuilder};

@@ -1,14 +1,17 @@
 //! Builder for the `USI_TOP-K` index.
 //!
-//! Wires up the three construction phases of Section IV with either the
-//! exact Section-V oracle (`UET` in the paper's experiments) or the
+//! Wires up the three construction phases of Section IV with either
+//! exact top-K mining (`UET` in the paper's experiments) or the
 //! space-efficient Section-VI sampler (`UAT`), and resolves the space /
-//! query-time trade-off from a user-supplied `K` or `τ` via the oracle's
-//! tuning tasks.
+//! query-time trade-off from a user-supplied `K` or `τ`. Exact mining and
+//! `τ` resolution read a frequency histogram of the suffix-tree nodes
+//! ([`TopKSelector`]) instead of building the whole Section-V oracle: it
+//! yields the oracle's `τ_K`, `K_τ` and top-K triplets, in the oracle's
+//! order, from one LCP sweep plus a sort of the nodes that reach `τ_K`.
 
 use crate::approx::{approximate_top_k, ApproxConfig};
 use crate::index::{BuildStats, UsiIndex};
-use crate::oracle::TopKOracle;
+use crate::select::TopKSelector;
 use crate::topk::TopKEstimate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,12 +25,12 @@ use usi_suffix::{lcp_array, suffix_array, LceBackend};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildOptions {
     /// Worker threads for construction (1 = fully sequential, the
-    /// default). Parallelises the oracle's radix phases and deals
-    /// phase (ii)'s length groups out over `std::thread::scope` workers;
-    /// the suffix and LCP arrays are serial SA-IS and Kasai at every
-    /// thread count. **The output is byte-identical to a single-threaded
-    /// build for every thread count** — the CI determinism gate `cmp`s
-    /// the resulting `.usix` files.
+    /// default). Deals phase (ii)'s length groups out over
+    /// `std::thread::scope` workers; the suffix and LCP arrays (serial
+    /// SA-IS and Kasai) and phase (i)'s histogram selection are serial at
+    /// every thread count. **The output is byte-identical to a
+    /// single-threaded build for every thread count** — the CI
+    /// determinism gate `cmp`s the resulting `.usix` files.
     pub threads: usize,
 }
 
@@ -57,7 +60,8 @@ pub enum TopKStrategy {
 enum SizeParam {
     /// Fixed number of cached substrings.
     K(usize),
-    /// Minimum cached frequency; `K_τ` resolved by the oracle (Task iii).
+    /// Minimum cached frequency; `K_τ` resolved from the frequency
+    /// histogram (the oracle's Task iii).
     Tau(u32),
     /// The paper's practical default `K = n / 100`.
     Default,
@@ -111,8 +115,8 @@ impl UsiBuilder {
         self
     }
 
-    /// Caches every substring with frequency ≥ `tau` (Task (iii) resolves
-    /// the implied `K_τ`).
+    /// Caches every substring with frequency ≥ `tau`: the implied `K_τ`
+    /// is the histogram's count of substrings that occur ≥ `tau` times.
     pub fn with_tau(mut self, tau: u32) -> Self {
         self.size = SizeParam::Tau(tau);
         self
@@ -150,16 +154,16 @@ impl UsiBuilder {
         self
     }
 
-    /// Runs construction with up to `threads` workers: the oracle's
-    /// radix phases and the `L_K` phase-(ii) length groups fan out over
-    /// a scoped pool (see [`BuildOptions::threads`]). Output is
-    /// byte-identical to a sequential build.
+    /// Runs phase (ii) with up to `threads` workers: its `L_K` length
+    /// groups fan out over a scoped pool, while the suffix and LCP arrays
+    /// and phase (i) stay serial (see [`BuildOptions::threads`]). Output
+    /// is byte-identical to a sequential build.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.options.threads = threads.max(1);
         self
     }
 
-    /// Builds the index over `ws`, running all three phases with up to
+    /// Builds the index over `ws`, running phase (ii) with up to
     /// [`BuildOptions::threads`] workers.
     pub fn build(&self, ws: WeightedString) -> UsiIndex {
         let build_started = Instant::now();
@@ -178,31 +182,27 @@ impl UsiBuilder {
         let psw = utility.local_index(ws.weights());
         let phase_index = t0.elapsed();
 
-        // Resolve K.
+        // Phase (i): resolve K, then mine the top-K frequent substrings.
+        // The exact strategy and τ read the LCP array's frequency
+        // histogram; both are dropped before phase (ii).
         let t1 = Instant::now();
-        let need_oracle =
+        let need_histogram =
             matches!(self.strategy, TopKStrategy::Exact) || matches!(self.size, SizeParam::Tau(_));
-        let oracle = if need_oracle {
-            let lcp = lcp_array(ws.text(), &sa);
-            Some(TopKOracle::new_threads(n, &sa, &lcp, threads))
-        } else {
-            None
-        };
+        let lcp = need_histogram.then(|| lcp_array(ws.text(), &sa));
+        let selector = lcp.as_deref().map(|lcp| TopKSelector::new(&sa, lcp));
         let k = match self.size {
             SizeParam::K(k) => k,
             SizeParam::Default => (n / 100).max(1),
             SizeParam::Tau(tau) => {
-                oracle.as_ref().expect("oracle built for tau resolution").tune_for_tau(tau).k
+                selector.as_ref().expect("histogram built for tau resolution").k_for_tau(tau)
                     as usize
             }
         };
-
-        // Phase (i): mine the top-K frequent substrings.
         let mut stats = BuildStats { n, k_requested: k, ..BuildStats::default() };
         let mined = match self.strategy {
             TopKStrategy::Exact => {
-                let oracle = oracle.as_ref().expect("oracle built for exact strategy");
-                let items = oracle.top_k(k);
+                let selector = selector.as_ref().expect("histogram built for the exact strategy");
+                let items = selector.top_k(k);
                 stats.tau = items.iter().map(|s| s.freq()).min();
                 Mined::Triplets(items)
             }
@@ -218,6 +218,8 @@ impl UsiBuilder {
                 Mined::Estimates(res.items)
             }
         };
+        drop(selector);
+        drop(lcp);
         stats.phase_topk = t1.elapsed();
 
         // Phase (ii): populate H, one length group at a time.

@@ -13,8 +13,10 @@
 //!
 //! Construction phases (mirroring the paper):
 //!
-//! 1. **Phase (i)** — obtain the top-K frequent substrings (exact oracle
-//!    of Section V or the Section-VI sampler); done by [`crate::builder`].
+//! 1. **Phase (i)** — obtain the top-K frequent substrings (exact, from
+//!    the frequency histogram of [`crate::select`], which lists the
+//!    Section-V oracle's triplets, or the Section-VI sampler); done by
+//!    [`crate::builder`].
 //! 2. **Phase (ii)** — group the substrings by length. For exact
 //!    triplets, each of the `L_K` lengths marks its occurrences from the
 //!    SA intervals in a bit vector and walks the set bits in text order,
@@ -74,7 +76,8 @@ pub struct BuildStats {
     /// `L_K`: number of distinct top-K substring lengths (phase-(ii)
     /// length groups).
     pub distinct_lengths: usize,
-    /// Phase (i) wall time (top-K mining).
+    /// Phase (i) wall time (top-K mining; for exact builds and `τ`, the
+    /// LCP array, the frequency histogram and the selection).
     pub phase_topk: Duration,
     /// Phase (ii) wall time (hash-table population).
     pub phase_populate: Duration,

@@ -16,6 +16,8 @@
 //! * [`topk`] — shared top-K substring representations;
 //! * [`oracle`] — the linear-space data structure of Section V (arrays
 //!   `T`, `Q`, `L`) powering Exact-Top-K and parameter tuning;
+//! * [`select`] — phase (i) of the construction: the oracle's `τ_K`,
+//!   `K_τ` and top-K triplets from a frequency histogram, without `T`;
 //! * [`approx`] — the space-efficient Approximate-Top-K sampler of
 //!   Section VI;
 //! * [`index`] / [`builder`] — the `USI_TOP-K` data structure of
@@ -40,6 +42,7 @@ pub mod merge;
 pub mod metrics;
 pub mod oracle;
 pub mod persist;
+pub mod select;
 pub mod storage;
 pub mod topk;
 
@@ -50,5 +53,6 @@ pub use index::{BuildStats, QuerySource, UsiIndex, UsiQuery};
 pub use merge::{merge_accumulators, merged_total};
 pub use oracle::{exact_top_k, TopKOracle, TradeoffPoint, TuneForK, TuneForTau};
 pub use persist::{open_mmap, PersistError};
+pub use select::TopKSelector;
 pub use storage::{IndexStorage, SaRef, WeightsRef};
 pub use topk::{SubstringRef, TopKEstimate, TopKSubstring};

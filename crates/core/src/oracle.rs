@@ -18,8 +18,15 @@
 //! it in `T`, the lengths covered by a prefix of `T` are exactly
 //! `1 ..= max string depth`, so `L` is the running maximum of depths —
 //! the paper's counter `c` / maximum `M` bookkeeping.
+//!
+//! Index construction does not build this structure: phase (i) needs
+//! only `τ_K` and the nodes that reach it, which
+//! [`TopKSelector`](crate::select::TopKSelector) reads from a frequency
+//! histogram, listing the same triplets in the same order. The oracle
+//! serves what needs all of `T`: `usi topk`, `usi tradeoff`, the `W1`
+//! workloads, the Approximate-Top-K rounds and the experiments.
 
-use crate::topk::TopKSubstring;
+use crate::topk::{list_top_k, TopKSubstring};
 use usi_strings::HeapSize;
 use usi_suffix::{lcp_array, lcp_intervals, suffix_array, LcpInterval};
 
@@ -83,16 +90,14 @@ pub struct TopKOracle {
 impl TopKOracle {
     /// Builds the oracle from a text's suffix and LCP arrays. `O(n)`.
     pub fn new(text_len: usize, sa: &[u32], lcp: &[u32]) -> Self {
-        Self::new_threads(text_len, sa, lcp, 1)
+        let nodes = lcp_intervals(lcp, |i| (text_len - sa[i] as usize) as u32, true);
+        Self::from_nodes(nodes, text_len)
     }
 
-    /// [`TopKOracle::new`] with the radix-sort counting phases fanned
-    /// over up to `threads` scoped workers (the lcp-interval enumeration
-    /// is a sequential stack sweep and stays serial). The resulting
-    /// oracle is identical to the single-threaded one.
-    pub fn new_threads(text_len: usize, sa: &[u32], lcp: &[u32], threads: usize) -> Self {
-        let nodes = lcp_intervals(lcp, |i| (text_len - sa[i] as usize) as u32, true);
-        Self::from_nodes_threads(nodes, text_len, threads)
+    /// [`TopKOracle::new`], whatever `threads` is: construction is serial.
+    /// Kept for callers that still pass a thread count.
+    pub fn new_threads(text_len: usize, sa: &[u32], lcp: &[u32], _threads: usize) -> Self {
+        Self::new(text_len, sa, lcp)
     }
 
     /// Builds SA and LCP internally, then the oracle.
@@ -106,17 +111,8 @@ impl TopKOracle {
     /// Builds from pre-enumerated suffix-tree nodes (shared with the
     /// sparse per-round accounting of Approximate-Top-K). `max_freq`
     /// bounds frequencies for the radix sort (`n` for a full text).
-    pub fn from_nodes(nodes: Vec<LcpInterval>, max_freq: usize) -> Self {
-        Self::from_nodes_threads(nodes, max_freq, 1)
-    }
-
-    /// [`TopKOracle::from_nodes`] with parallel radix counting phases.
-    pub fn from_nodes_threads(
-        mut nodes: Vec<LcpInterval>,
-        max_freq: usize,
-        threads: usize,
-    ) -> Self {
-        radix_sort_nodes(&mut nodes, max_freq, threads);
+    pub fn from_nodes(mut nodes: Vec<LcpInterval>, max_freq: usize) -> Self {
+        radix_sort_nodes(&mut nodes, max_freq);
         let entries: Vec<OracleEntry> = nodes
             .iter()
             .map(|n| OracleEntry {
@@ -155,16 +151,13 @@ impl TopKOracle {
     /// `O(n)` construction (Theorem 2). Returns fewer than `k` items only
     /// when the text has fewer distinct substrings.
     pub fn top_k(&self, k: usize) -> Vec<TopKSubstring> {
-        let mut out = Vec::with_capacity(k.min(self.total_distinct_substrings() as usize));
-        'outer: for e in &self.entries {
-            for len in (e.parent_depth + 1)..=e.depth {
-                if out.len() == k {
-                    break 'outer;
-                }
-                out.push(TopKSubstring { len, lb: e.lb, rb: e.rb });
-            }
-        }
-        out
+        let nodes = self.entries.iter().map(|e| LcpInterval {
+            depth: e.depth,
+            parent_depth: e.parent_depth,
+            lb: e.lb,
+            rb: e.rb,
+        });
+        list_top_k(nodes, k)
     }
 
     /// **Task (ii)**: `(τ_K, L_K)` for a given `K`, by binary search in
@@ -263,68 +256,22 @@ impl HeapSize for TopKOracle {
     }
 }
 
-/// Below this node count the scoped-thread counting phases cost more
-/// than they save.
-const PARALLEL_COUNT_MIN: usize = 1 << 14;
-
 /// Stable two-pass radix sort of suffix-tree nodes by
 /// (frequency descending, string depth ascending), as the paper's `O(n)`
 /// radix sort of `T`. Counting sorts: depth ascending first, then
 /// frequency descending (stability preserves the depth order within equal
-/// frequencies). With `threads > 1` the histogram of each pass is
-/// accumulated blockwise on scoped workers and merged; the stable
-/// scatter stays sequential, so the permutation — and hence the oracle —
-/// is identical at every thread count.
-fn radix_sort_nodes(nodes: &mut [LcpInterval], max_freq: usize, threads: usize) {
+/// frequencies).
+fn radix_sort_nodes(nodes: &mut [LcpInterval], max_freq: usize) {
     if nodes.len() <= 1 {
         return;
     }
-    // Blockwise histogram: `bucket_of` maps a node to its bucket.
-    let histogram = |buckets: usize,
-                     bucket_of: &(dyn Fn(&LcpInterval) -> usize + Sync),
-                     nodes: &[LcpInterval]|
-     -> Vec<u32> {
-        let mut count = vec![0u32; buckets];
-        // Parallel counting only pays off when the per-worker bucket
-        // allocations and the serial merge (threads × buckets adds) are
-        // small next to the counting itself — on a full-text oracle
-        // max_freq ≈ n, so wide-bucket passes must stay serial.
-        if threads <= 1
-            || nodes.len() < PARALLEL_COUNT_MIN
-            || buckets.saturating_mul(threads) >= nodes.len()
-        {
-            for n in nodes {
-                count[bucket_of(n)] += 1;
-            }
-            return count;
-        }
-        let chunk = nodes.len().div_ceil(threads);
-        let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = nodes
-                .chunks(chunk)
-                .map(|block| {
-                    scope.spawn(move || {
-                        let mut local = vec![0u32; buckets];
-                        for n in block {
-                            local[bucket_of(n)] += 1;
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("histogram worker panicked")).collect()
-        });
-        for local in partials {
-            for (c, l) in count.iter_mut().zip(local) {
-                *c += l;
-            }
-        }
-        count
-    };
     let max_depth = nodes.iter().map(|n| n.depth).max().unwrap_or(0) as usize;
 
     // Pass 1: stable counting sort by depth ascending.
-    let mut count = histogram(max_depth + 2, &|n| n.depth as usize + 1, nodes);
+    let mut count = vec![0u32; max_depth + 2];
+    for n in nodes.iter() {
+        count[n.depth as usize + 1] += 1;
+    }
     for i in 1..count.len() {
         count[i] += count[i - 1];
     }
@@ -337,7 +284,10 @@ fn radix_sort_nodes(nodes: &mut [LcpInterval], max_freq: usize, threads: usize) 
 
     // Pass 2: stable counting sort by frequency descending.
     // (bucket by max_freq − freq to sort descending)
-    let mut count = histogram(max_freq + 2, &|n| max_freq - n.freq() as usize + 1, &tmp);
+    let mut count = vec![0u32; max_freq + 2];
+    for n in &tmp {
+        count[max_freq - n.freq() as usize + 1] += 1;
+    }
     for i in 1..count.len() {
         count[i] += count[i - 1];
     }

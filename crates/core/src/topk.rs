@@ -11,6 +11,26 @@
 //!   unavailable).
 
 use usi_strings::FxHashMap;
+use usi_suffix::LcpInterval;
+
+/// Task (i)'s listing: the substrings of `nodes` as triplets, the nodes
+/// in the given order and each node's shorter lengths first, until `k`
+/// are listed.
+pub(crate) fn list_top_k(
+    nodes: impl IntoIterator<Item = LcpInterval>,
+    k: usize,
+) -> Vec<TopKSubstring> {
+    let mut out = Vec::new();
+    'outer: for node in nodes {
+        for len in (node.parent_depth + 1)..=node.depth {
+            if out.len() == k {
+                break 'outer;
+            }
+            out.push(TopKSubstring { len, lb: node.lb, rb: node.rb });
+        }
+    }
+    out
+}
 
 /// Groups exact triplets by substring length and returns the sorted
 /// distinct lengths alongside the groups. A length group is the unit of

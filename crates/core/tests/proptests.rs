@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use usi_core::{
-    approximate_top_k, exact_top_k, ApproxConfig, TopKEstimate, TopKOracle, UsiBuilder, UsiIndex,
+    approximate_top_k, exact_top_k, ApproxConfig, TopKEstimate, TopKOracle, TopKSelector,
+    UsiBuilder, UsiIndex,
 };
 use usi_strings::{
     Fingerprinter, FxHashMap, GlobalAggregator, GlobalUtility, LocalWindow, UtilityAccumulator,
@@ -99,8 +100,78 @@ proptest! {
     }
 }
 
+/// A text of `len` letters: random over `sigma` letters (`shape` 0),
+/// unary (1), or a random word of 1–6 letters repeated (2).
+fn shaped_text(shape: usize, sigma: u8, len: usize, seed: u64) -> Vec<u8> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    match shape {
+        0 => (0..len).map(|_| b'a' + rng.gen_range(0..sigma)).collect(),
+        1 => vec![b'a'; len],
+        _ => {
+            let word: Vec<u8> =
+                (0..rng.gen_range(1..7usize)).map(|_| b'a' + rng.gen_range(0..sigma)).collect();
+            word.iter().copied().cycle().take(len).collect()
+        }
+    }
+}
+
 // Default config: `PROPTEST_CASES` deepens the run.
 proptest! {
+    /// Phase (i)'s histogram selection lists exactly the oracle's
+    /// triplets, in the oracle's order, so builds that switched from the
+    /// oracle to it write the same `.usix` bytes.
+    #[test]
+    fn selection_equals_oracle_top_k(
+        shape in 0usize..3,
+        sigma in 1u8..5,
+        len in 1usize..300,
+        seed in any::<u64>(),
+        k_pick in any::<u64>(),
+    ) {
+        let text = shaped_text(shape, sigma, len, seed);
+        let sa = usi_suffix::suffix_array(&text);
+        let lcp = usi_suffix::lcp_array(&text, &sa);
+        let oracle = TopKOracle::new(text.len(), &sa, &lcp);
+        let selector = TopKSelector::new(&sa, &lcp);
+        let distinct = oracle.total_distinct_substrings();
+        // substrings that occur at least twice: one more lets leaves in
+        let twice = oracle.tune_for_tau(2).k;
+        prop_assert_eq!(selector.k_for_tau(2), twice);
+        prop_assert_eq!(selector.tau_for_k(twice + 1), Some(1));
+        for k in [
+            0,
+            1,
+            len as u64 / 100,
+            1 + k_pick % distinct,
+            twice + 1,
+            distinct,
+            distinct + 1 + k_pick % 8,
+        ] {
+            prop_assert_eq!((k, selector.top_k(k as usize)), (k, oracle.top_k(k as usize)));
+        }
+    }
+
+    /// A `with_tau(τ)` build caches exactly `K_τ` substrings, as the
+    /// oracle's Task (iii) counts them.
+    #[test]
+    fn tau_build_caches_k_tau(
+        shape in 0usize..3,
+        sigma in 1u8..5,
+        len in 1usize..120,
+        seed in any::<u64>(),
+        tau in 0u32..8,
+    ) {
+        let text = shaped_text(shape, sigma, len, seed);
+        let (oracle, _) = TopKOracle::from_text(&text);
+        let index = UsiBuilder::new()
+            .with_tau(tau)
+            .deterministic(seed)
+            .build(WeightedString::uniform(text, 1.0));
+        prop_assert_eq!(index.cached_substrings() as u64, oracle.tune_for_tau(tau).k);
+    }
+
+
     /// Phase (ii) from the SA intervals equals the sliding-window pass
     /// bit for bit. `populate_from_estimates` still slides a rolling
     /// fingerprint over every window, so fed the exact top-K as

@@ -50,27 +50,42 @@ impl LcpInterval {
 }
 
 /// Enumerates all explicit suffix-tree nodes (internal lcp-intervals and,
-/// when `include_leaves`, the leaves) from an LCP array.
+/// when `include_leaves`, the leaves) from an LCP array: the nodes
+/// [`visit_lcp_intervals`] visits, in its order.
 ///
 /// * `lcp` — the (sparse) LCP array; `lcp[0] = 0`, `lcp[j]` = LCP of the
 ///   suffixes ranked `j−1` and `j`.
 /// * `suffix_len(i)` — length of the suffix ranked `i` (for a full text
 ///   `n − sa[i]`; the same formula with full-text lengths for a sparse
 ///   sample).
-///
-/// Runs in `O(n)` with a single stack pass; the root (empty string) is
-/// never reported. Leaves with `depth == parent_depth` (suffixes that are
-/// prefixes of a neighbouring suffix, representing no extra substring)
-/// are skipped.
 pub fn lcp_intervals(
     lcp: &[u32],
     suffix_len: impl Fn(usize) -> u32,
     include_leaves: bool,
 ) -> Vec<LcpInterval> {
-    let n = lcp.len();
     let mut out = Vec::new();
+    visit_lcp_intervals(lcp, suffix_len, include_leaves, |node| out.push(node));
+    out
+}
+
+/// Calls `visit` on every explicit suffix-tree node without collecting
+/// them: first each internal lcp-interval as the bottom-up sweep closes
+/// it (children before their parent), then, when `include_leaves`, the
+/// leaves in suffix-array order. Arguments as for [`lcp_intervals`].
+///
+/// Runs in `O(n)` with a single stack pass; the root (empty string) is
+/// never visited. Leaves with `depth == parent_depth` (suffixes that are
+/// prefixes of a neighbouring suffix, representing no extra substring)
+/// are skipped.
+pub fn visit_lcp_intervals(
+    lcp: &[u32],
+    suffix_len: impl Fn(usize) -> u32,
+    include_leaves: bool,
+    mut visit: impl FnMut(LcpInterval),
+) {
+    let n = lcp.len();
     if n == 0 {
-        return out;
+        return;
     }
     // Internal nodes: classic bottom-up stack of (lcp value, left bound).
     let mut stack: Vec<(u32, u32)> = vec![(0, 0)];
@@ -82,7 +97,7 @@ pub fn lcp_intervals(
             let (top_depth, top_lb) = stack.pop().unwrap();
             let rb = (i - 1) as u32;
             let parent_depth = stack.last().unwrap().0.max(l);
-            out.push(LcpInterval { depth: top_depth, parent_depth, lb: top_lb, rb });
+            visit(LcpInterval { depth: top_depth, parent_depth, lb: top_lb, rb });
             lb = top_lb;
         }
         if stack.last().unwrap().0 < l {
@@ -98,11 +113,10 @@ pub fn lcp_intervals(
             let parent_depth = left.max(right);
             let depth = suffix_len(i);
             if depth > parent_depth {
-                out.push(LcpInterval { depth, parent_depth, lb: i as u32, rb: i as u32 });
+                visit(LcpInterval { depth, parent_depth, lb: i as u32, rb: i as u32 });
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub mod sais;
 pub mod search;
 pub mod sparse;
 
-pub use esa::{lcp_intervals, LcpInterval};
+pub use esa::{lcp_intervals, visit_lcp_intervals, LcpInterval};
 pub use lce::{FingerprintLce, LceBackend, LceOracle, NaiveLce, RmqLce};
 pub use lcp::{lcp_array, lcp_array_threads};
 pub use rmq::SparseTableRmq;

@@ -172,7 +172,11 @@ impl Args {
             let value = if command.switches.split_whitespace().any(|f| f == name) {
                 None
             } else if command.flags.split_whitespace().any(|f| f == name) {
-                raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned()
+                // `-1` is a value; another flag is not
+                match raw.get(i + 1) {
+                    Some(v) if !v.starts_with("--") && v != "-o" => Some(v.clone()),
+                    _ => die(&format!("{} expects a value", raw[i])),
+                }
             } else {
                 let known: Vec<String> = command
                     .flags
@@ -261,9 +265,10 @@ fn cmd_build(args: &Args) {
             .map(|s| s.parse().unwrap_or_else(|_| die("bad --seed")))
             .unwrap_or(0xbeef),
     );
-    // Parallel construction (oracle counts and phase (ii)'s length
-    // groups): output is byte-identical at any thread count (CI
-    // cmp-gates this), so --threads is purely a speed knob.
+    // Parallel construction (phase (ii)'s length groups; the suffix and
+    // LCP arrays and phase (i)'s histogram selection are serial): output
+    // is byte-identical at any thread count (CI cmp-gates this), so
+    // --threads is purely a speed knob.
     if let Some(t) = args.flag("threads") {
         builder = builder.with_threads(t.parse().unwrap_or_else(|_| die("bad --threads")));
     }

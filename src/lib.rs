@@ -34,7 +34,7 @@
 //! |---|---|
 //! | [`usi_strings`] | weighted strings, Karp–Rabin fingerprints, utility functions, `PSW` |
 //! | [`usi_suffix`] | SA-IS, LCP, RMQ, LCE oracles, lcp-intervals, sparse suffix arrays |
-//! | [`usi_core`] | the top-K oracle, Exact/Approximate-Top-K, the `USI_TOP-K` index, metrics |
+//! | [`usi_core`] | the top-K oracle and phase-(i) selection, Exact/Approximate-Top-K, the `USI_TOP-K` index, metrics |
 //! | [`usi_streams`] | Misra–Gries, SpaceSaving, count-min, HeavyKeeper, SubstringHK, Top-K Trie |
 //! | [`usi_baselines`] | the BSL1–BSL4 query baselines |
 //! | [`usi_datasets`] | synthetic corpora, utility generators, `W1`/`W2,p` workloads |

@@ -428,6 +428,34 @@ fn unknown_flags_exit_2_naming_the_flag() {
 }
 
 #[test]
+fn value_flags_without_a_value_exit_2() {
+    let text_path = tmp("t14.txt");
+    std::fs::write(&text_path, b"abracadabra_abracadabra").unwrap();
+    let text = text_path.to_str().unwrap();
+    let index_path = tmp("t14.usix");
+    let index = index_path.to_str().unwrap();
+    // a value flag followed by another flag, by `-o`, or by nothing must
+    // not build with a default nor take the next flag as its value
+    for (args, flag) in [
+        (&["build", text, "--uniform", "1", "--seed", "--k", "5", "-o", index][..], "--seed"),
+        (&["build", text, "--uniform", "1", "--k", "-o", index][..], "--k"),
+        (&["build", text, "--uniform", "1", "--k", "5", "-o", index, "--seed"][..], "--seed"),
+        (&["build", text, "--k", "5", "-o"][..], "-o"),
+    ] {
+        let _ = std::fs::remove_file(&index_path);
+        let out = usi().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} expects a value")), "{args:?}: {stderr}");
+        assert!(!index_path.exists(), "{args:?} wrote an index");
+    }
+    // a value that starts with a single dash is still a value
+    let out =
+        usi().args(["build", text, "--uniform", "-1", "--k", "5", "-o", index]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn serve_takes_the_flags_its_callers_pass() {
     use std::process::Stdio;
 
