@@ -6,33 +6,38 @@
 //! and a catalog of N corpora cold-starts in O(N · validation).
 //!
 //! Also measures the first query after each load kind, so the page-in
-//! cost the mapping defers is visible rather than hidden.
+//! cost the mapping defers is visible rather than hidden, and a corpus
+//! of four such files opened the way `usi serve --mmap` opens its
+//! arguments: through `usi_server::open_corpus`, one file per core.
 //!
 //! Tracked by the nightly gate via `ci/nightly-thresholds.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use usi_core::{UsiBuilder, UsiIndex};
 use usi_datasets::Dataset;
+use usi_server::LoadOptions;
 
 /// Indexed letters: big enough that copying vs not copying dominates.
 const N: usize = 1 << 20; // 1 Mi
 
-fn persisted_index() -> (std::path::PathBuf, u64) {
-    let dir = std::env::temp_dir().join("usi-bench-mmap-load");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("mmap_load.usix");
-    let ws = Dataset::Hum.generate(N, 23);
+/// Builds a 1 Mi-letter index of `dataset` and persists it at `path`.
+/// Returns the file's size.
+fn persist(path: &Path, dataset: Dataset, seed: u64) -> u64 {
+    let ws = dataset.generate(N, seed);
     let index = UsiBuilder::new().with_k(N / 200).deterministic(5).build(ws);
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path).unwrap());
     index.write_to(&mut out).unwrap();
     out.flush().unwrap();
-    let bytes = std::fs::metadata(&path).unwrap().len();
-    (path, bytes)
+    std::fs::metadata(path).unwrap().len()
 }
 
 fn bench_mmap_load(c: &mut Criterion) {
-    let (path, bytes) = persisted_index();
+    let dir = std::env::temp_dir().join("usi-bench-mmap-load");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("mmap_load.usix");
+    let bytes = persist(&path, Dataset::Hum, 23);
 
     let mut group = c.benchmark_group("mmap_load");
     group.sample_size(10);
@@ -67,6 +72,19 @@ fn bench_mmap_load(c: &mut Criterion) {
         b.iter(|| {
             let index = usi_core::persist::open_mmap(&path).unwrap();
             index.query(b"ACGT").occurrences
+        })
+    });
+
+    // the four profiles of the served benchmark corpus, listed as files
+    let profiles = [Dataset::Hum, Dataset::Xml, Dataset::Iot, Dataset::Adv];
+    let files: Vec<PathBuf> = (0..4).map(|i| dir.join(format!("corpus-{i}.usix"))).collect();
+    let corpus_bytes: u64 =
+        files.iter().zip(profiles).zip(29..).map(|((f, p), seed)| persist(f, p, seed)).sum();
+    group.throughput(Throughput::Bytes(corpus_bytes));
+    group.bench_function("open_corpus_four_files", |b| {
+        b.iter(|| {
+            let opts = LoadOptions { mmap: true, threads: 0 };
+            usi_server::open_corpus(&files, opts).unwrap().len()
         })
     });
 

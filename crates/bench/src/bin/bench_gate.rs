@@ -4,6 +4,8 @@
 //! `CRITERION_JSON` is set, compares each benchmark's median against the
 //! checked-in baselines, and fails (exit 1) when any tracked benchmark
 //! regressed by more than the margin — perf changes must be deliberate.
+//! A benchmark run several times into the file is judged on the median
+//! of all its records, so one noisy run neither fails nor passes it.
 //!
 //! ```text
 //! bench_gate --current reports/criterion.jsonl \
@@ -18,7 +20,8 @@
 //!   rot, not a pass);
 //! * benchmarks present in the run but not in the thresholds are
 //!   reported as `untracked` and do not fail the gate;
-//! * `--update` merges the current medians into the thresholds file —
+//! * `--update` merges the current medians (the same median of all
+//!   records) into the thresholds file —
 //!   benches absent from the current run keep their old baselines, so a
 //!   partial bench run cannot silently drop benchmarks from tracking
 //!   (the calibration path for deliberate changes);
@@ -40,32 +43,49 @@ fn read_arg(args: &[String], name: &str) -> Option<String> {
         .map(|i| args.get(i + 1).unwrap_or_else(|| die(&format!("{name} needs a value"))).clone())
 }
 
-/// Parses the shim's JSON-lines output. Re-runs append, so the last
-/// occurrence of a name wins (it is the most recent measurement).
+/// Reads the shim's JSON-lines output: each benchmark's median over
+/// all of its records.
 fn read_current(path: &str) -> BTreeMap<String, f64> {
     let data =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    let mut medians = BTreeMap::new();
-    for (lineno, line) in data.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value =
-            Json::parse(line).unwrap_or_else(|e| die(&format!("{path}:{}: {e}", lineno + 1)));
-        let name = value
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| die(&format!("{path}:{}: missing \"name\"", lineno + 1)));
-        let median = value
-            .get("median_ns")
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| die(&format!("{path}:{}: missing \"median_ns\"", lineno + 1)));
-        medians.insert(name.to_string(), median);
-    }
+    let medians = medians_by_name(&data).unwrap_or_else(|e| die(&format!("{path}:{e}")));
     if medians.is_empty() {
         die(&format!("{path} holds no benchmark results — did the bench run with CRITERION_JSON?"));
     }
     medians
+}
+
+/// Each benchmark's median over all of its records in `data`. Re-runs
+/// append, so a name may appear many times; the median of its
+/// `median_ns` values is the middle one, or the mean of the middle two
+/// for an even count. An error names the bad line.
+fn medians_by_name(data: &str) -> Result<BTreeMap<String, f64>, String> {
+    let mut runs: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    for (lineno, line) in data.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let at = |what: String| format!("{}: {what}", lineno + 1);
+        let value = Json::parse(line).map_err(|e| at(e.to_string()))?;
+        let name = value.get("name").and_then(Json::as_str);
+        let name = name.ok_or_else(|| at("missing \"name\"".into()))?;
+        let median = value.get("median_ns").and_then(Json::as_f64);
+        let median = median.ok_or_else(|| at("missing \"median_ns\"".into()))?;
+        runs.entry(name.to_string()).or_default().push(median);
+    }
+    Ok(runs
+        .into_iter()
+        .map(|(name, mut records)| {
+            records.sort_by(f64::total_cmp);
+            let mid = records.len() / 2;
+            let median = if records.len() % 2 == 1 {
+                records[mid]
+            } else {
+                (records[mid - 1] + records[mid]) / 2.0
+            };
+            (name, median)
+        })
+        .collect())
 }
 
 /// Reads the thresholds file. Keys starting with `_` are free-form
@@ -198,4 +218,33 @@ fn main() {
         exit(1);
     }
     println!("bench_gate: all {} tracked benchmarks within margin", thresholds.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::medians_by_name;
+
+    #[test]
+    fn each_benchmark_is_judged_on_the_median_of_all_its_records() {
+        // five runs of one benchmark at one commit, the last one the
+        // fastest: the median, not the last record, is what counts
+        let data = r#"{"name":"conn_scale/idle_0","median_ns":60600}
+{"name":"once","median_ns":5}
+{"name":"conn_scale/idle_0","median_ns":55400}
+
+{"name":"conn_scale/idle_0","median_ns":60600}
+{"name":"even","median_ns":30}
+{"name":"conn_scale/idle_0","median_ns":42600}
+{"name":"even","median_ns":10}
+{"name":"conn_scale/idle_0","median_ns":38600}
+"#;
+        let medians = medians_by_name(data).unwrap();
+        assert_eq!(medians.len(), 3);
+        assert_eq!(medians["conn_scale/idle_0"], 55400.0);
+        assert_eq!(medians["once"], 5.0);
+        assert_eq!(medians["even"], 20.0);
+        let err =
+            medians_by_name("{\"name\":\"a\",\"median_ns\":1}\n{\"name\":\"b\"}").unwrap_err();
+        assert!(err.starts_with("2: missing \"median_ns\""), "{err}");
+    }
 }

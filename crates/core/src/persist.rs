@@ -155,8 +155,11 @@ impl UsiIndex {
     /// (the canonical encoding guarantees it; the probe's binary search
     /// requires it).
     ///
-    /// The only load-time allocation proportional to the corpus is the
-    /// `PSW` prefix-sum array, which the format does not store. Each
+    /// Each section is read once: the weight checks ride on the pass
+    /// that builds the `PSW` prefix sums, which the format does not
+    /// store and which are the only load-time allocation kept in
+    /// proportion to the corpus (the permutation check borrows an
+    /// `n/8`-byte bitset for its pass). Each
     /// successful validation is timed in `usi_index_open_seconds{mode}`,
     /// `mode` being `mmap` for a file mapping and `read` for heap bytes.
     pub fn from_storage(storage: Arc<IndexStorage>) -> Result<Self, PersistError> {
@@ -218,26 +221,46 @@ impl UsiIndex {
         let view =
             IndexView::new(Arc::clone(&storage), n, text_off, weights_off, sa_off, h_off, h_len);
 
-        // Weights: finite, and strictly positive under a Product local
-        // window (whose PSW takes logarithms).
-        for w in view.weights().iter() {
-            if !w.is_finite() {
-                return Err(PersistError::Corrupt("non-finite weight"));
-            }
-            if local == usi_strings::LocalWindow::Product && w <= 0.0 {
-                return Err(PersistError::Corrupt("non-positive weight for product local"));
-            }
+        // Weights, read once: PSW is the one derived structure the
+        // format does not store, and the pass that rebuilds it (in the
+        // builder's accumulation order, so bit-identical) also checks
+        // that every weight is finite, and strictly positive under a
+        // Product local window, whose PSW takes logarithms. A bad weight
+        // enters the sums as 1.0, never reaching the logarithm, and the
+        // first one in text order refuses the file. Both array sections
+        // are decoded in fixed-size chunks straight from the bytes: the
+        // view's per-record accessors slowed the permutation pass by a
+        // third.
+        let product = local == usi_strings::LocalWindow::Product;
+        let mut bad_weight = None;
+        let psw = LocalIndex::from_weights(
+            bytes[weights_off..sa_off].chunks_exact(8).map(|record| {
+                let w = f64::from_le_bytes(record.try_into().expect("8 bytes"));
+                if w.is_finite() && !(product && w <= 0.0) {
+                    return w;
+                }
+                bad_weight.get_or_insert(if w.is_finite() {
+                    "non-positive weight for product local"
+                } else {
+                    "non-finite weight"
+                });
+                1.0
+            }),
+            local,
+        );
+        if let Some(what) = bad_weight {
+            return Err(PersistError::Corrupt(what));
         }
 
-        // Suffix array: a permutation of 0..n.
-        let sa = view.sa();
-        let mut seen = vec![false; n];
-        for i in 0..n {
-            let p = sa.at(i) as usize;
-            if p >= n || seen[p] {
+        // Suffix array: a permutation of 0..n, one bit per position.
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        let ranks = bytes[sa_off..h_count_off].chunks_exact(4);
+        for p in ranks.map(|r| u32::from_le_bytes(r.try_into().expect("4 bytes"))) {
+            let (word, bit) = (p as usize / 64, 1u64 << (p % 64));
+            if p as usize >= n || seen[word] & bit != 0 {
                 return Err(PersistError::Corrupt("suffix array permutation"));
             }
-            seen[p] = true;
+            seen[word] |= bit;
         }
 
         // Hash-table entries: valid lengths, strictly increasing keys
@@ -271,10 +294,6 @@ impl UsiIndex {
             ..BuildStats::default()
         };
         let utility = GlobalUtility::with_parts(aggregator, local);
-        // PSW is the one derived structure the format does not store:
-        // rebuilt from the weight section in a single decoding pass,
-        // bit-identical to the builder's (same accumulation order).
-        let psw = LocalIndex::from_weights(view.weights().iter(), local);
         Ok(UsiIndex::from_view(view, psw, fingerprinter, utility, cached_lengths, stats))
     }
 }

@@ -7,13 +7,17 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use usi_core::persist::HEADER_BYTES;
 use usi_core::UsiBuilder;
-use usi_strings::WeightedString;
+use usi_strings::{LocalWindow, WeightedString};
 
 fn serialized_index(seed: u64) -> Vec<u8> {
+    serialized_index_with(seed, LocalWindow::Sum)
+}
+
+fn serialized_index_with(seed: u64, local: LocalWindow) -> Vec<u8> {
     let text = b"abracadabra_banana".repeat(8);
     let weights: Vec<f64> = (0..text.len()).map(|i| 0.5 + (i % 7) as f64 * 0.1).collect();
     let ws = WeightedString::new(text, weights).unwrap();
-    let index = UsiBuilder::new().with_k(25).deterministic(seed).build(ws);
+    let index = UsiBuilder::new().with_k(25).with_local_window(local).deterministic(seed).build(ws);
     let mut buf = Vec::new();
     index.write_to(&mut buf).unwrap();
     buf
@@ -73,10 +77,12 @@ proptest! {
     /// Single-byte corruption never panics; it either fails validation or
     /// yields an index whose text/weights arithmetic still holds (flips
     /// in utility payload bytes are undetectable by design, like any
-    /// checksum-free format).
+    /// checksum-free format). Product-local images too, whose `PSW`
+    /// takes the logarithm of every weight.
     #[test]
-    fn byte_flip_never_panics(pos in 0usize..4096, xor in 1u8..=255) {
-        let mut buf = serialized_index(2);
+    fn byte_flip_never_panics(pos in 0usize..4096, xor in 1u8..=255, product in any::<bool>()) {
+        let local = if product { LocalWindow::Product } else { LocalWindow::Sum };
+        let mut buf = serialized_index_with(2, local);
         let pos = pos % buf.len();
         buf[pos] ^= xor;
         match usi_core::UsiIndex::read_from(&mut buf.as_slice()) {

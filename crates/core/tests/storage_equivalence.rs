@@ -178,9 +178,36 @@ fn trailing_bytes_and_unsorted_entries_are_rejected() {
     let first: [u8; 4] = corrupt[sa_off..sa_off + 4].try_into().unwrap();
     corrupt[sa_off + 4..sa_off + 8].copy_from_slice(&first);
     assert!(matches!(open_view(&corrupt), Err(PersistError::Corrupt("suffix array permutation"))));
+    // an out-of-range entry (n) in the last slot, the last two slots
+    // equal, and the first slot's entry repeated in the last, far from
+    // where it was first seen
+    let last = sa_off + 4 * (n - 1);
+    let mut corrupt = buf.clone();
+    corrupt[last..last + 4].copy_from_slice(&(n as u32).to_le_bytes());
+    assert!(matches!(open_view(&corrupt), Err(PersistError::Corrupt("suffix array permutation"))));
+    for from in [last - 4, sa_off] {
+        let mut corrupt = buf.clone();
+        corrupt.copy_within(from..from + 4, last);
+        assert!(matches!(
+            open_view(&corrupt),
+            Err(PersistError::Corrupt("suffix array permutation"))
+        ));
+    }
+
+    // NaN and both infinities at a middle and at the last weight
+    let weights_off = 26 + n;
+    for at in [weights_off + 8 * (n / 2), weights_off + 8 * (n - 1)] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut corrupt = buf.clone();
+            corrupt[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            assert!(
+                matches!(open_view(&corrupt), Err(PersistError::Corrupt("non-finite weight"))),
+                "{bad} at byte {at}"
+            );
+        }
+    }
 
     // non-finite weight is caught field-precisely
-    let weights_off = 26 + n;
     let mut corrupt = buf;
     corrupt[weights_off..weights_off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
     assert!(matches!(open_view(&corrupt), Err(PersistError::Corrupt("non-finite weight"))));
@@ -217,6 +244,25 @@ fn every_aggregator_and_local_window_round_trips_through_a_view() {
                 let i = rng.gen_range(0..n - m);
                 let pattern = &text[i..i + m];
                 assert_eq!(view.query(pattern), index.query(pattern), "{agg:?}/{local:?}");
+            }
+            if local != LocalWindow::Product {
+                continue;
+            }
+            // a product local takes logarithms: a zero, negative zero or
+            // negative weight anywhere is refused, never reaching `ln`
+            let weights_off = 26 + n;
+            for at in [0, n / 2, n - 1].map(|i| weights_off + 8 * i) {
+                for bad in [0.0, -0.0, -1.0f64] {
+                    let mut corrupt = buf.clone();
+                    corrupt[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                    assert!(
+                        matches!(
+                            open_view(&corrupt),
+                            Err(PersistError::Corrupt("non-positive weight for product local"))
+                        ),
+                        "{agg:?}: {bad} at byte {at}"
+                    );
+                }
             }
         }
     }

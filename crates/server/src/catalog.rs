@@ -49,14 +49,100 @@ use usi_strings::{GlobalUtility, UtilityAccumulator};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadOptions {
     /// Map files into memory ([`usi_core::persist::open_mmap`]) instead
-    /// of reading their bytes onto the heap: cold-start and resident
-    /// memory then scale with the number of documents, not their total
-    /// bytes. Either way the file is validated by
-    /// [`UsiIndex::from_storage`] and queries answer from the same view.
+    /// of reading their bytes onto the heap: no section is copied, and
+    /// resident memory holds only the pages queries touch plus `PSW`.
+    /// Either way the file is validated by [`UsiIndex::from_storage`],
+    /// whose one pass over each section costs time linear in the
+    /// letters, and queries answer from the same view.
     pub mmap: bool,
-    /// Worker threads for directory loads; `0` means
+    /// Worker threads [`open_corpus`] validates files on, whether they
+    /// come from a list of files, directories or both; `0` means
     /// `available_parallelism`.
     pub threads: usize,
+}
+
+/// One `.usix` file read and validated by [`open_corpus`].
+#[derive(Debug)]
+pub struct CorpusFile {
+    /// The document id: the file stem.
+    pub id: String,
+    /// The file the index was read from.
+    pub path: PathBuf,
+    /// The validated index.
+    pub index: UsiIndex,
+}
+
+/// The one corpus loader, behind [`Catalog::load_paths_with`] and every
+/// `usi serve` mode. Each of `paths` is a `.usix` file (taken whatever
+/// its extension) or a directory, which stands for its regular `.usix`
+/// entries in sorted order; other entries (`.usil` WALs next to their
+/// indexes, notes, subdirectories named `*.usix`) are skipped. Every
+/// file is then read and validated through [`UsiIndex::from_storage`]
+/// on up to `opts.threads` workers, in contiguous chunks, and the
+/// indexes come back in argument order. On failure the error names the
+/// first failing path in that order, not whichever worker lost the
+/// race, and nothing is returned.
+pub fn open_corpus<P: AsRef<Path>>(
+    paths: &[P],
+    opts: LoadOptions,
+) -> Result<Vec<CorpusFile>, CatalogError> {
+    let threads = match opts.threads {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        t => t,
+    };
+    let mut files = Vec::new();
+    let mut unlisted = None;
+    for path in paths {
+        match corpus_files(path.as_ref()) {
+            Ok(found) => files.extend(found),
+            Err(e) => {
+                // files of earlier arguments still fail first
+                unlisted = Some(e);
+                break;
+            }
+        }
+    }
+    // a file parse costs far more than a spawn: always spread
+    let parsed = run_in_parts(&files, threads, |part| {
+        part.iter().map(|file| parse_usix(file, opts.mmap)).collect()
+    });
+    let corpus = parsed.into_iter().collect::<Result<Vec<_>, _>>()?;
+    match unlisted {
+        Some(e) => Err(e),
+        None => Ok(corpus),
+    }
+}
+
+/// The `.usix` files one [`open_corpus`] argument stands for.
+fn corpus_files(path: &Path) -> Result<Vec<PathBuf>, CatalogError> {
+    let io_error = |e| CatalogError::Io(path.display().to_string(), e);
+    if !std::fs::metadata(path).map_err(io_error)?.is_dir() {
+        return Ok(vec![path.to_path_buf()]);
+    }
+    let mut files: Vec<_> = std::fs::read_dir(path)
+        .map_err(io_error)?
+        .filter_map(Result::ok)
+        .map(|entry| entry.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "usix") && p.is_file())
+        .collect();
+    // deterministic across filesystems
+    files.sort();
+    Ok(files)
+}
+
+/// Reads and validates one `.usix` file; the document id is the file
+/// stem. With `mmap` the index is a view over a file mapping;
+/// otherwise it is a view over the file's bytes read onto the heap.
+/// Both run the same validator.
+fn parse_usix(path: &Path, mmap: bool) -> Result<CorpusFile, CatalogError> {
+    let display = path.display().to_string();
+    let storage =
+        if mmap { IndexStorage::open(path) } else { std::fs::read(path).map(IndexStorage::Owned) }
+            .map_err(|e| CatalogError::Io(display.clone(), e))?;
+    let index =
+        UsiIndex::from_storage(Arc::new(storage)).map_err(|e| CatalogError::Load(display, e))?;
+    let id = path.file_stem().map_or_else(String::new, |s| s.to_string_lossy().into_owned());
+    Ok(CorpusFile { id, path: path.to_path_buf(), index })
 }
 
 /// Lookups (patterns × documents) each thread of a spread query batch
@@ -548,27 +634,9 @@ impl Catalog {
         let spec = doc.source.clone().ok_or(ReloadError::NotReloadable)?;
         // parse fully before touching the registry: a corrupt or
         // half-written file must leave the serving doc in place
-        let (_, index) = Self::parse_usix(&spec.path, spec.mmap).map_err(ReloadError::Load)?;
+        let file = parse_usix(&spec.path, spec.mmap).map_err(ReloadError::Load)?;
         crate::metrics::server().catalog_reloads_total.inc();
-        Ok(self.register(id.to_string(), Backend::Static(index), Some(spec)))
-    }
-
-    /// Reads and validates one `.usix` file without touching the
-    /// catalog; the document id is the file stem. With `mmap` the index
-    /// is a view over a file mapping; otherwise it is a view over the
-    /// file's bytes read onto the heap. Both run the same validator.
-    fn parse_usix(path: &Path, mmap: bool) -> Result<(String, UsiIndex), CatalogError> {
-        let display = path.display().to_string();
-        let storage = if mmap {
-            IndexStorage::open(path)
-        } else {
-            std::fs::read(path).map(IndexStorage::Owned)
-        }
-        .map_err(|e| CatalogError::Io(display.clone(), e))?;
-        let index = UsiIndex::from_storage(Arc::new(storage))
-            .map_err(|e| CatalogError::Load(display, e))?;
-        let id = path.file_stem().map_or_else(String::new, |s| s.to_string_lossy().into_owned());
-        Ok((id, index))
+        Ok(self.register(id.to_string(), Backend::Static(file.index), Some(spec)))
     }
 
     /// Loads one `.usix` file; the document id is the file stem.
@@ -578,9 +646,15 @@ impl Catalog {
 
     /// [`Catalog::load_usix`] with explicit [`LoadOptions`].
     pub fn load_usix_with(&self, path: &Path, opts: LoadOptions) -> Result<Arc<Doc>, CatalogError> {
-        let (id, index) = Self::parse_usix(path, opts.mmap)?;
-        let spec = ReloadSpec { path: path.to_path_buf(), mmap: opts.mmap };
-        Ok(self.register(id, Backend::Static(index), Some(spec)))
+        let file = parse_usix(path, opts.mmap)?;
+        Ok(self.register_file(file, opts.mmap))
+    }
+
+    /// Registers a file [`open_corpus`] validated as a reloadable
+    /// frozen document.
+    fn register_file(&self, file: CorpusFile, mmap: bool) -> Arc<Doc> {
+        let spec = ReloadSpec { path: file.path, mmap };
+        self.register(file.id, Backend::Static(file.index), Some(spec))
     }
 
     /// Loads one `.usix` file straight into an ingest-enabled document
@@ -609,17 +683,17 @@ impl Catalog {
         config: usi_ingest::IngestConfig,
         opts: LoadOptions,
     ) -> Result<(Arc<Doc>, usi_ingest::Replay), CatalogError> {
-        let (id, index) = Self::parse_usix(path, opts.mmap)?;
-        let (pipeline, replay) = IngestPipeline::open(index, wal_path, config)
+        let file = parse_usix(path, opts.mmap)?;
+        let (pipeline, replay) = IngestPipeline::open(file.index, wal_path, config)
             .map_err(|e| CatalogError::Ingest(wal_path.display().to_string(), e))?;
-        Ok((self.insert_ingest(id, pipeline), replay))
+        Ok((self.insert_ingest(file.id, pipeline), replay))
     }
 
     /// Loads a path that is either one `.usix` file or a directory whose
-    /// `.usix` entries are all loaded, parsing directory entries on up
-    /// to `available_parallelism` workers (each load is independent).
-    /// Returns the ids loaded (sorted for directories: deterministic
-    /// across filesystems). See [`Catalog::load_path_threads`].
+    /// regular `.usix` entries are all loaded, through [`open_corpus`]
+    /// on up to `available_parallelism` workers. Returns the ids loaded
+    /// (sorted for a directory: deterministic across filesystems). See
+    /// [`Catalog::load_paths_with`].
     pub fn load_path(&self, path: &Path) -> Result<Vec<String>, CatalogError> {
         self.load_path_with(path, LoadOptions::default())
     }
@@ -633,53 +707,30 @@ impl Catalog {
         self.load_path_with(path, LoadOptions { threads, ..LoadOptions::default() })
     }
 
-    /// [`Catalog::load_path`] with explicit [`LoadOptions`]. Files are
-    /// read and validated concurrently on scoped threads; documents are
-    /// then registered in sorted file order. On failure the error
-    /// reported is the **first** failing file in that order (not
-    /// whichever worker lost the race), and no document from the batch
-    /// is registered — a failed load never leaves a half-loaded
-    /// directory behind. Directory entries that are not regular
-    /// `.usix` files — stray `.usil` WALs living next to their
-    /// indexes, editor droppings, subdirectories — are skipped, not
-    /// errors.
+    /// [`Catalog::load_path`] with explicit [`LoadOptions`]: a list of
+    /// one for [`Catalog::load_paths_with`].
     pub fn load_path_with(
         &self,
         path: &Path,
         opts: LoadOptions,
     ) -> Result<Vec<String>, CatalogError> {
-        let threads = match opts.threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
-        };
-        let display = path.display().to_string();
-        let meta = std::fs::metadata(path).map_err(|e| CatalogError::Io(display.clone(), e))?;
-        if !meta.is_dir() {
-            return Ok(vec![self.load_usix_with(path, opts)?.id().to_string()]);
-        }
-        let mut files: Vec<_> = std::fs::read_dir(path)
-            .map_err(|e| CatalogError::Io(display.clone(), e))?
-            .filter_map(Result::ok)
-            .map(|entry| entry.path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "usix") && p.is_file())
-            .collect();
-        files.sort();
-        // a file parse costs far more than a spawn: always spread
-        let parsed = run_in_parts(&files, threads, |part| {
-            part.iter().map(|file| Self::parse_usix(file, opts.mmap)).collect()
-        });
-        // first error in file order wins; register nothing on failure
-        let mut docs = Vec::with_capacity(parsed.len());
-        for result in parsed {
-            docs.push(result?);
-        }
-        let mut ids = Vec::with_capacity(docs.len());
-        for ((id, index), file) in docs.into_iter().zip(&files) {
-            let spec = ReloadSpec { path: file.clone(), mmap: opts.mmap };
-            self.register(id.clone(), Backend::Static(index), Some(spec));
-            ids.push(id);
-        }
-        Ok(ids)
+        self.load_paths_with(&[path], opts)
+    }
+
+    /// Loads every `.usix` file `paths` stands for (files, directories
+    /// or both) through [`open_corpus`], which validates them
+    /// concurrently on `opts.threads` workers, then registers them in
+    /// argument order and returns their ids in that order. On failure
+    /// the error reported is the **first** failing path in argument
+    /// order, and no document from the list is registered: a failed
+    /// load never leaves a half-loaded corpus behind.
+    pub fn load_paths_with<P: AsRef<Path>>(
+        &self,
+        paths: &[P],
+        opts: LoadOptions,
+    ) -> Result<Vec<String>, CatalogError> {
+        let corpus = open_corpus(paths, opts)?;
+        Ok(corpus.into_iter().map(|file| self.register_file(file, opts.mmap).id.clone()).collect())
     }
 
     /// Removes a document; `true` if it was present.
@@ -1131,6 +1182,28 @@ mod tests {
                 );
             }
         }
+
+        // a list of files and a directory returns its ids in argument
+        // order, the directory's entries sorted in its place
+        let listed = std::env::temp_dir().join("usi-catalog-load-tests").join("ok-list");
+        std::fs::create_dir_all(&listed).unwrap();
+        for seed in 6..8u64 {
+            let index =
+                UsiBuilder::new().with_k(20).deterministic(seed).build(sample_ws(seed, 400));
+            let mut f = std::fs::File::create(listed.join(format!("doc{seed}.usix"))).unwrap();
+            index.write_to(&mut f).unwrap();
+        }
+        let list = [dir.join("doc4.usix"), listed, dir.join("doc1.usix"), dir.join("doc0.usix")];
+        for threads in [1usize, 2, 3, 16] {
+            let catalog = Catalog::new(4);
+            let ids = catalog
+                .load_paths_with(&list, LoadOptions { threads, ..LoadOptions::default() })
+                .unwrap();
+            assert_eq!(ids, ["doc4", "doc6", "doc7", "doc1", "doc0"], "threads {threads}");
+            for id in ["doc4", "doc1", "doc0"] {
+                assert_eq!(catalog.query(id, b"ab"), serial.query(id, b"ab"), "doc {id}");
+            }
+        }
     }
 
     #[test]
@@ -1212,6 +1285,35 @@ mod tests {
                 "threads {threads}: expected the first bad file, got: {err}"
             );
             assert!(catalog.is_empty(), "threads {threads}: partial load left documents behind");
+        }
+
+        // a list mixing files and a directory: "m-corrupt", inside the
+        // second argument, fails before "a-corrupt", the third, though
+        // it sorts after it
+        let listed = std::env::temp_dir().join("usi-catalog-load-tests").join("bad-list");
+        std::fs::create_dir_all(&listed).unwrap();
+        for seed in 4..6u64 {
+            let index =
+                UsiBuilder::new().with_k(10).deterministic(seed).build(sample_ws(seed, 200));
+            let mut f = std::fs::File::create(listed.join(format!("doc{seed}.usix"))).unwrap();
+            index.write_to(&mut f).unwrap();
+        }
+        std::fs::write(listed.join("m-corrupt.usix"), b"USIX\x01\x00\x00\x00 truncated").unwrap();
+        let list =
+            [dir.join("doc0.usix"), listed, dir.join("a-corrupt.usix"), dir.join("doc1.usix")];
+        // and a bad file still fails before a later path that is missing
+        let missing = [dir.join("doc0.usix"), dir.join("z-corrupt.usix"), dir.join("absent")];
+        for (list, first_bad) in [(&list[..], "m-corrupt"), (&missing[..], "z-corrupt")] {
+            for threads in [1usize, 2, 8] {
+                let catalog = Catalog::new(2);
+                let opts = LoadOptions { threads, ..LoadOptions::default() };
+                let err = catalog.load_paths_with(list, opts).unwrap_err();
+                assert!(
+                    err.to_string().contains(first_bad),
+                    "threads {threads}: expected {first_bad} first in argument order, got: {err}"
+                );
+                assert!(catalog.is_empty(), "threads {threads}: a failed load left documents");
+            }
         }
     }
 

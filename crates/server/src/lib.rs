@@ -5,7 +5,9 @@
 //! workspace) and splits into three layers:
 //!
 //! * [`catalog`] — a sharded multi-index registry ([`Catalog`]): loads
-//!   `.usix` files or in-process builds, hosts live ingest-enabled
+//!   in-process builds, or `.usix` files and directories through one
+//!   loader ([`open_corpus`]) that validates every file of a corpus
+//!   concurrently, hosts live ingest-enabled
 //!   documents (`usi_ingest::IngestPipeline` behind
 //!   `POST /v1/docs/{id}/append`), routes queries by document id
 //!   straight to each document's engine, fans out across every
@@ -44,8 +46,8 @@ pub(crate) mod metrics;
 pub(crate) mod reactor;
 
 pub use catalog::{
-    AppendError, Catalog, CatalogError, Doc, FanOut, LoadOptions, ReloadError, ReplicationStatus,
-    Role,
+    open_corpus, AppendError, Catalog, CatalogError, CorpusFile, Doc, FanOut, LoadOptions,
+    ReloadError, ReplicationStatus, Role,
 };
 pub use framing::{read_response, Reply};
 pub use http::{respond, serve, AccessLog, Response, ServerConfig, ServerHandle};

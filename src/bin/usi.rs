@@ -27,18 +27,24 @@
 //!
 //! `--mmap` maps `.usix` files into memory
 //! (`usi_core::persist::open_mmap`) instead of reading their bytes onto
-//! the heap: cold-start and resident memory scale with the number of
-//! indexes instead of their bytes, at the price of the kernel paging
-//! sections in on first touch. Both modes validate a file the same way
-//! and answer from the same storage view. `build -o` replaces its
+//! the heap: no section is copied and resident memory holds only what
+//! queries touch, at the price of the kernel paging sections in on
+//! first touch. Both modes validate a file the same way, in one pass
+//! over each section (time linear in its letters), and answer from the
+//! same storage view. `build -o` replaces its
 //! output by atomic rename, so rebuilding a file a `--mmap` server has
 //! mapped leaves that server's view intact until a reload. `inspect`
 //! validates a file and prints its header, section sizes and checksum
 //! — the first tool to reach for over a suspect index file.
 //!
 //! Weights default to 1.0 per position; `--weights` reads
-//! whitespace-separated floats (one per text byte). `serve` runs the
-//! HTTP serving layer over every loaded index until stdin reaches EOF
+//! whitespace-separated floats (one per text byte). `serve` takes
+//! `.usix` files and directories, a directory standing for its regular
+//! `.usix` entries in sorted order, and opens them all through one
+//! loader (`usi_server::open_corpus`) in every mode: the files validate
+//! concurrently, one core each, and the first bad file in argument
+//! order stops the start (exit 2, naming it). It then runs the HTTP
+//! serving layer over every loaded index until stdin reaches EOF
 //! (or the process receives SIGINT). Its `--workers` threads take turns
 //! waiting on one epoll set (Linux), each serving the connection it
 //! takes, so an idle keep-alive connection costs a descriptor, not a
@@ -378,28 +384,15 @@ fn ingest_config(args: &Args) -> IngestConfig {
     config
 }
 
-/// Expands the serve arguments (files or directories) into the sorted
-/// list of `.usix` files, mirroring `Catalog::load_path`'s selection.
-fn usix_files(paths: &[String]) -> Vec<std::path::PathBuf> {
-    let mut files = Vec::new();
-    for path in paths {
-        let path = Path::new(path);
-        let meta = std::fs::metadata(path)
-            .unwrap_or_else(|e| die(&format!("cannot load {}: {e}", path.display())));
-        if !meta.is_dir() {
-            files.push(path.to_path_buf());
-            continue;
+/// Ids are file stems; a collision would silently shadow the earlier
+/// index, so refuse to serve ambiguous corpora.
+fn refuse_duplicate_ids<'a>(ids: impl IntoIterator<Item = &'a str>) {
+    let mut seen = std::collections::HashSet::new();
+    for id in ids {
+        if !seen.insert(id) {
+            die(&format!("duplicate document id {id:?} (file stems must be unique)"));
         }
-        let mut entries: Vec<_> = std::fs::read_dir(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())))
-            .filter_map(Result::ok)
-            .map(|entry| entry.path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "usix"))
-            .collect();
-        entries.sort();
-        files.extend(entries);
     }
-    files
 }
 
 fn cmd_serve(args: &Args) {
@@ -475,7 +468,15 @@ fn cmd_serve(args: &Args) {
     let load_opts = usi::server::LoadOptions { mmap: args.has("mmap"), threads: 0 };
 
     let catalog = Arc::new(Catalog::new(shards));
-    let mut seen = std::collections::HashSet::new();
+    // every mode opens its files through the one corpus loader: the
+    // arguments expand by one rule, the files validate concurrently,
+    // and the first bad file in argument order stops the start
+    let open_files = || {
+        let corpus = usi::server::open_corpus(&args.positional, load_opts)
+            .unwrap_or_else(|e| die(&format!("cannot load {e}")));
+        refuse_duplicate_ids(corpus.iter().map(|file| file.id.as_str()));
+        corpus
+    };
     let mut follower: Option<usi::repl::Follower> = None;
     if let Some(source) = &follow_source {
         // follower: every .usix becomes a replaying FollowerDoc served
@@ -490,15 +491,10 @@ fn cmd_serve(args: &Args) {
             segment_dir: None,
         };
         let mut docs = Vec::new();
-        for file in usix_files(&args.positional) {
-            let stem =
-                file.file_stem().map_or_else(String::new, |s| s.to_string_lossy().into_owned());
-            if !seen.insert(stem.clone()) {
-                die(&format!("duplicate document id {stem:?} (file stems must be unique)"));
-            }
-            let index = load_index(&file.display().to_string(), args.has("mmap"));
-            let doc = Arc::new(usi::repl::FollowerDoc::new(stem.clone(), index, opts.clone()));
-            catalog.insert_engine(stem, Arc::clone(&doc) as _);
+        for file in open_files() {
+            let doc =
+                Arc::new(usi::repl::FollowerDoc::new(file.id.clone(), file.index, opts.clone()));
+            catalog.insert_engine(file.id, Arc::clone(&doc) as _);
             docs.push(doc);
         }
         let running = usi::repl::Follower::start(
@@ -515,8 +511,9 @@ fn cmd_serve(args: &Args) {
     } else if !shard_addrs.is_empty() {
         // fan-out front end: each shard's whole corpus ("*") appears as
         // one remote document; "doc": "*" here merges across shards
+        let mut seen = std::collections::HashSet::new();
         for addr in &shard_addrs {
-            if !seen.insert((*addr).to_string()) {
+            if !seen.insert(*addr) {
                 die(&format!("duplicate --shard {addr}"));
             }
             let remote =
@@ -532,45 +529,38 @@ fn cmd_serve(args: &Args) {
         std::fs::create_dir_all(wal_dir)
             .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", wal_dir.display())));
         let config = IngestConfig { background_compaction: true, ..ingest_config(args) };
-        for file in usix_files(&args.positional) {
-            let stem =
-                file.file_stem().map_or_else(String::new, |s| s.to_string_lossy().into_owned());
-            let wal_path = wal_dir.join(format!("{stem}.usil"));
+        for file in open_files() {
+            let wal_path = wal_dir.join(format!("{}.usil", file.id));
             let mut doc_config = config.clone();
             if let Some(dir) = &doc_config.segment_dir {
                 // segment files are named by offset/length only, so
                 // each document gets its own namespace under the dir
-                doc_config.segment_dir = Some(dir.join(&stem));
+                doc_config.segment_dir = Some(dir.join(&file.id));
             }
-            let (doc, replay) = catalog
-                .load_usix_ingest_with(&file, &wal_path, doc_config, load_opts)
-                .unwrap_or_else(|e| die(&format!("cannot load {}: {e}", file.display())));
-            if !seen.insert(doc.id().to_string()) {
-                die(&format!("duplicate document id {:?} (file stems must be unique)", doc.id()));
-            }
+            let (pipeline, replay) = IngestPipeline::open(file.index, &wal_path, doc_config)
+                .unwrap_or_else(|e| {
+                    die(&format!(
+                        "cannot load {}: {}: {e}",
+                        file.path.display(),
+                        wal_path.display()
+                    ))
+                });
             if !replay.records.is_empty() || replay.truncated {
                 eprintln!(
                     "replayed {} record(s) for {} from {}{}",
                     replay.records.len(),
-                    doc.id(),
+                    file.id,
                     wal_path.display(),
                     if replay.truncated { " (torn tail dropped)" } else { "" },
                 );
             }
+            catalog.insert_ingest(file.id, pipeline);
         }
     } else {
-        for path in &args.positional {
-            let ids = catalog
-                .load_path_with(Path::new(path), load_opts)
-                .unwrap_or_else(|e| die(&format!("cannot load {path}: {e}")));
-            for id in &ids {
-                // ids are file stems; a collision would silently shadow
-                // the earlier index, so refuse to serve ambiguous corpora
-                if !seen.insert(id.clone()) {
-                    die(&format!("duplicate document id {id:?} (file stems must be unique)"));
-                }
-            }
-        }
+        let ids = catalog
+            .load_paths_with(&args.positional, load_opts)
+            .unwrap_or_else(|e| die(&format!("cannot load {e}")));
+        refuse_duplicate_ids(ids.iter().map(String::as_str));
     }
     for id in catalog.doc_ids() {
         let doc = catalog.get(&id).expect("listed");

@@ -492,3 +492,62 @@ fn serve_takes_the_flags_its_callers_pass() {
         assert!(out.status.success(), "{flags:?}: {}", String::from_utf8_lossy(&out.stderr));
     }
 }
+
+#[test]
+fn serve_skips_subdirectories_named_usix_in_every_mode() {
+    use std::process::Stdio;
+
+    let index = flag_test_index("t15");
+    let corpus = tmp("t15-corpus");
+    let _ = std::fs::remove_dir_all(&corpus);
+    std::fs::create_dir_all(corpus.join("junk.usix")).unwrap();
+    std::fs::copy(&index, corpus.join("doc.usix")).unwrap();
+    let wal_dir = tmp("t15-wals");
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    // static, ingest-enabled and follower serving expand a directory by
+    // the same rule: its regular `.usix` entries only
+    let ingest = ["--ingest-wal", wal_dir.to_str().unwrap()];
+    let follow = ["--follow", "127.0.0.1:1", "--repl-poll-ms", "10"];
+    for flags in [&[][..], &ingest[..], &follow[..]] {
+        let out = usi()
+            .arg("serve")
+            .arg(&corpus)
+            .args(["--addr", "127.0.0.1:0"])
+            .args(flags)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{flags:?}: {stderr}");
+        assert!(stderr.contains("loaded doc: n = 23"), "{flags:?}: {stderr}");
+    }
+}
+
+#[test]
+fn serve_refuses_a_list_with_a_bad_file_or_a_duplicate_id() {
+    use std::process::Stdio;
+
+    let good = flag_test_index("t16");
+    let bad = tmp("t16-bad.usix");
+    std::fs::write(&bad, b"not an index").unwrap();
+    // the same stem in another directory would shadow the first index
+    let twin_dir = tmp("t16-twin");
+    std::fs::create_dir_all(&twin_dir).unwrap();
+    let twin = twin_dir.join("t16.usix");
+    std::fs::copy(&good, &twin).unwrap();
+    for (list, expected) in [
+        ([good.as_str(), bad.to_str().unwrap()], format!("cannot load {}", bad.display())),
+        ([good.as_str(), twin.to_str().unwrap()], "duplicate document id \"t16\"".to_string()),
+    ] {
+        let out = usi()
+            .arg("serve")
+            .args(list)
+            .args(["--addr", "127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{list:?}: {stderr}");
+        assert!(stderr.contains(&expected), "{list:?}: {stderr}");
+    }
+}
