@@ -69,10 +69,10 @@ fn bench_hashers(c: &mut Criterion) {
 }
 
 fn bench_phase2_marking(c: &mut Criterion) {
-    // Phase (ii) of construction: a bit-vector scan of the SA intervals'
-    // occurrences (exact triplets) vs a rolling-fingerprint pass against
-    // witness-fingerprint sets (estimates). Same top-K input, identical
-    // resulting hash tables.
+    // Phase (ii) of construction: one text-order pass over the chains of
+    // nested SA intervals (exact triplets) vs a rolling-fingerprint pass
+    // against witness-fingerprint sets (estimates). Same top-K input,
+    // identical resulting hash tables.
     let ws = Dataset::Xml.generate(60_000, 7);
     let sa = suffix_array(ws.text());
     let lcp = lcp_array(ws.text(), &sa);
@@ -84,7 +84,7 @@ fn bench_phase2_marking(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ablation_phase2");
     group.sample_size(10);
-    group.bench_function("bit_vector_marking", |b| {
+    group.bench_function("text_order_pass", |b| {
         b.iter(|| UsiIndex::populate_from_triplets(ws.text(), &sa, &psw, &fp, &triplets))
     });
     group.bench_function("fingerprint_set_marking", |b| {

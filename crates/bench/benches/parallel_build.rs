@@ -1,18 +1,20 @@
-//! Serial-vs-parallel construction medians: the speedup behind
-//! `usi build --threads N` is measured here, not asserted. The nightly
+//! Construction medians on a 1 Mi-letter text. Every step (SA-IS, the
+//! Φ LCP array, phase (i)'s histogram selection and phase (ii)'s
+//! text-order pass) is serial, so a thread count no longer changes the
+//! work and `build/1` times the one build there is. The nightly
 //! workflow runs this bench with `CRITERION_JSON` set and gates the
 //! medians against `ci/nightly-thresholds.json`.
 //!
 //! The input is a ≥ 1 MiB DNA-like Markov text (the paper's HUM
-//! profile): realistic repeat structure, so the per-length phase-(ii)
-//! fan-out, the only parallel step, does representative work. The
-//! suffix and LCP arrays and phase (i)'s histogram selection are serial
-//! at every thread count; `parallel_substrates` times the two arrays
-//! once each.
+//! profile), with realistic repeat structure. `parallel_substrates`
+//! times the suffix array, the LCP array and phase (ii) alone, once
+//! each.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use usi_core::{BuildOptions, UsiBuilder};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use rand::SeedableRng;
+use usi_core::{TopKSelector, UsiBuilder, UsiIndex};
 use usi_datasets::Dataset;
+use usi_strings::{Fingerprinter, GlobalUtility};
 use usi_suffix::{lcp_array, suffix_array};
 
 const N: usize = 1 << 20; // 1 MiB
@@ -23,13 +25,8 @@ fn bench_end_to_end_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_build");
     group.sample_size(5);
     group.throughput(Throughput::Bytes(N as u64));
-    for threads in [1usize, 2, 4, 8] {
-        let builder =
-            UsiBuilder::new().with_k(K).with_options(BuildOptions { threads }).deterministic(3);
-        group.bench_with_input(BenchmarkId::new("build", threads), &builder, |b, builder| {
-            b.iter(|| builder.build(ws.clone()))
-        });
-    }
+    let builder = UsiBuilder::new().with_k(K).deterministic(3);
+    group.bench_function("build/1", |b| b.iter(|| builder.build(ws.clone())));
     group.finish();
 }
 
@@ -42,6 +39,14 @@ fn bench_substrate_parallelism(c: &mut Criterion) {
     group.bench_function("suffix_array/t1", |b| b.iter(|| suffix_array(text)));
     let sa = suffix_array(text);
     group.bench_function("lcp/t1", |b| b.iter(|| lcp_array(text, &sa)));
+    // Phase (ii) alone, over the triplets the builder's phase (i) lists.
+    let lcp = lcp_array(text, &sa);
+    let items = TopKSelector::new(&sa, &lcp).top_k(K);
+    let psw = GlobalUtility::sum_of_sums().local_index(ws.weights());
+    let fingerprinter = Fingerprinter::new(&mut rand::rngs::StdRng::seed_from_u64(3));
+    group.bench_function("populate/t1", |b| {
+        b.iter(|| UsiIndex::populate_from_triplets(text, &sa, &psw, &fingerprinter, &items))
+    });
     group.finish();
 }
 

@@ -19,27 +19,6 @@ use std::time::Instant;
 use usi_strings::{Fingerprinter, GlobalAggregator, GlobalUtility, LocalWindow, WeightedString};
 use usi_suffix::{lcp_array, suffix_array, LceBackend};
 
-/// Build-time execution options, orthogonal to the indexing parameters
-/// (`K`/`τ`, strategy, utility): how the construction runs rather than
-/// what it builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BuildOptions {
-    /// Worker threads for construction (1 = fully sequential, the
-    /// default). Deals phase (ii)'s length groups out over
-    /// `std::thread::scope` workers; the suffix and LCP arrays (serial
-    /// SA-IS and Kasai) and phase (i)'s histogram selection are serial at
-    /// every thread count. **The output is byte-identical to a
-    /// single-threaded build for every thread count** — the CI
-    /// determinism gate `cmp`s the resulting `.usix` files.
-    pub threads: usize,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        Self { threads: 1 }
-    }
-}
-
 /// How phase (i) obtains the top-K frequent substrings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopKStrategy {
@@ -83,8 +62,6 @@ pub struct UsiBuilder {
     strategy: TopKStrategy,
     aggregator: GlobalAggregator,
     local: LocalWindow,
-    /// Execution options (thread count).
-    options: BuildOptions,
     /// `Some(seed)` → deterministic fingerprints; `None` → thread RNG.
     seed: Option<u64>,
 }
@@ -104,7 +81,6 @@ impl UsiBuilder {
             strategy: TopKStrategy::Exact,
             aggregator: GlobalAggregator::Sum,
             local: LocalWindow::Sum,
-            options: BuildOptions::default(),
             seed: None,
         }
     }
@@ -148,27 +124,19 @@ impl UsiBuilder {
         self
     }
 
-    /// Sets the execution options wholesale.
-    pub fn with_options(mut self, options: BuildOptions) -> Self {
-        self.options = BuildOptions { threads: options.threads.max(1) };
+    /// A no-op kept for callers that still pass a thread count. Every
+    /// construction step (SA-IS, the Φ LCP array, phase (i)'s histogram
+    /// selection and phase (ii)'s text-order pass) is serial, so a build
+    /// starts no thread and writes the same bytes at any count; the CI
+    /// determinism gate `cmp`s `usi build --threads 1` and `--threads 4`.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// Runs phase (ii) with up to `threads` workers: its `L_K` length
-    /// groups fan out over a scoped pool, while the suffix and LCP arrays
-    /// and phase (i) stay serial (see [`BuildOptions::threads`]). Output
-    /// is byte-identical to a sequential build.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads.max(1);
-        self
-    }
-
-    /// Builds the index over `ws`, running phase (ii) with up to
-    /// [`BuildOptions::threads`] workers.
+    /// Builds the index over `ws`, on the calling thread.
     pub fn build(&self, ws: WeightedString) -> UsiIndex {
         let build_started = Instant::now();
         let n = ws.len();
-        let threads = self.options.threads;
         let fingerprinter = match self.seed {
             Some(seed) => Fingerprinter::new(&mut StdRng::seed_from_u64(seed)),
             None => Fingerprinter::new(&mut rand::thread_rng()),
@@ -222,17 +190,12 @@ impl UsiBuilder {
         drop(lcp);
         stats.phase_topk = t1.elapsed();
 
-        // Phase (ii): populate H, one length group at a time.
+        // Phase (ii): populate H.
         let t2 = Instant::now();
         let (h, distinct_lengths) = match &mined {
-            Mined::Triplets(items) => UsiIndex::populate_from_triplets_parallel(
-                ws.text(),
-                &sa,
-                &psw,
-                &fingerprinter,
-                items,
-                threads,
-            ),
+            Mined::Triplets(items) => {
+                UsiIndex::populate_from_triplets(ws.text(), &sa, &psw, &fingerprinter, items)
+            }
             Mined::Estimates(items) => {
                 UsiIndex::populate_from_estimates(ws.text(), &psw, &fingerprinter, items)
             }

@@ -17,15 +17,20 @@
 //!    the frequency histogram of [`crate::select`], which lists the
 //!    Section-V oracle's triplets, or the Section-VI sampler); done by
 //!    [`crate::builder`].
-//! 2. **Phase (ii)** — group the substrings by length. For exact
-//!    triplets, each of the `L_K` lengths marks its occurrences from the
-//!    SA intervals in a bit vector and walks the set bits in text order,
-//!    adding each occurrence's `O(1)` local utility to its substring's
-//!    accumulator: `O(n/64 + occ_len)` per length, so never more than
-//!    the paper's `O(n · L_K)`. For witness estimates, which carry no
-//!    intervals, a rolling fingerprint slides over `S` once per length,
-//!    aggregating the windows whose fingerprint is in the length's
-//!    witness set: `O(n · L_K)`.
+//! 2. **Phase (ii)** — sum each substring's local utilities over its
+//!    occurrences. For exact triplets this is one pass in text order:
+//!    the SA intervals nest like suffix-tree nodes, so the top-K
+//!    substrings that start at a position form a chain, each one's
+//!    parent the longest shorter one. Sorted by (`lb`, `rb` descending,
+//!    `len`), each triplet finds its parent and marks the SA ranks it
+//!    covers; that marking, scattered to text positions, gives every
+//!    position the head of its chain. The pass then walks each
+//!    position's chain, adding the occurrence's `O(1)` local utility to
+//!    each substring's accumulator: `O(n + Σ occ + K log K)`, never more
+//!    than the paper's `O(n · L_K)`, and no thread. For witness
+//!    estimates, which carry no intervals, a rolling fingerprint slides
+//!    over `S` once per length, aggregating the windows whose
+//!    fingerprint is in the length's witness set: `O(n · L_K)`.
 //! 3. **Phase (iii)** — build `SA(S)` and `PSW`.
 //!
 //! A query for `P` of length `m` computes `P`'s fingerprint (`O(m)`),
@@ -73,8 +78,7 @@ pub struct BuildStats {
     pub k_stored: usize,
     /// `τ_K` (exact strategy only): worst-case fallback occurrence count.
     pub tau: Option<u32>,
-    /// `L_K`: number of distinct top-K substring lengths (phase-(ii)
-    /// length groups).
+    /// `L_K`: number of distinct top-K substring lengths.
     pub distinct_lengths: usize,
     /// Phase (i) wall time (top-K mining; for exact builds and `τ`, the
     /// LCP array, the frequency histogram and the selection).
@@ -423,14 +427,20 @@ impl UsiIndex {
         out
     }
 
-    /// Populates `H` from exact triplets (phase (ii)): for each distinct
-    /// length, the occurrences read from the SA intervals are marked in
-    /// a bit vector and their local utilities summed in text order.
-    /// `O(n/64 + occ_len)` per length, so at most `O(n · L_K)` in total,
-    /// and, barring fingerprint collisions, bit-identical to a
-    /// rolling-fingerprint pass over every window. Exposed for the
-    /// phase-(ii) ablation bench; normal construction goes through
-    /// [`crate::builder::UsiBuilder`].
+    /// Populates `H` from exact triplets (phase (ii)) in one pass over
+    /// the text. The triplets' SA intervals nest like the suffix-tree
+    /// nodes they come from, so the triplets whose substrings start at a
+    /// text position form a chain, each one's parent the longest
+    /// shorter one. The pass walks each position's chain and adds the
+    /// position's local utility, for each triplet's length, to that
+    /// triplet's accumulator: `O(n + Σ occ + K log K)`. Every
+    /// accumulator receives the same adds in the same text order as a
+    /// rolling-fingerprint pass over every window of its length, so,
+    /// barring fingerprint collisions, `H` is bit-identical to it. The
+    /// entries go into `H` grouped by length, shortest first, and in
+    /// input order within a length; a colliding key merges into the
+    /// entry already there. Exposed for the phase-(ii) ablation bench;
+    /// normal construction goes through [`crate::builder::UsiBuilder`].
     pub fn populate_from_triplets(
         text: &[u8],
         sa: &[u32],
@@ -438,58 +448,80 @@ impl UsiIndex {
         fingerprinter: &Fingerprinter,
         items: &[TopKSubstring],
     ) -> (FxHashMap<HKey, UtilityAccumulator>, usize) {
-        let (lengths, by_len) = crate::topk::group_by_length(items);
+        const NONE: u32 = u32::MAX;
+        // Each triplet after every triplet whose interval contains its
+        // own, and after the shorter ones on the same interval. In that
+        // order, a triplet's parent is the last one to cover its left
+        // end, and `deepest[r]` ends as the longest triplet covering SA
+        // rank `r`. A chain link is (parent, length) by sorted slot, so
+        // the walk below reads one array.
+        let count = u32::try_from(items.len()).expect("fewer than 2^32 triplets");
+        let mut order: Vec<u32> = (0..count).collect();
+        order.sort_unstable_by_key(|&i| {
+            let item = &items[i as usize];
+            (item.lb, std::cmp::Reverse(item.rb), item.len)
+        });
+        let mut links: Vec<(u32, u32)> = Vec::with_capacity(items.len());
+        let mut deepest = vec![NONE; text.len()];
+        for (slot, &i) in (0..count).zip(&order) {
+            let item = &items[i as usize];
+            let parent = deepest[item.lb as usize];
+            debug_assert!(
+                parent == NONE || links[parent as usize].1 < item.len,
+                "a triplet's parent is strictly shorter than it"
+            );
+            links.push((parent, item.len));
+            deepest[item.lb as usize..=item.rb as usize].fill(slot);
+        }
+        let mut chain_at = vec![NONE; text.len()];
+        for (&p, &slot) in sa.iter().zip(&deepest) {
+            chain_at[p as usize] = slot;
+        }
+        drop(deepest);
+
+        let mut accs = vec![UtilityAccumulator::new(); items.len()];
+        for (p, &head) in chain_at.iter().enumerate() {
+            let mut slot = head;
+            while slot != NONE {
+                let (parent, len) = links[slot as usize];
+                accs[slot as usize].add(psw.local(p, len as usize));
+                slot = parent;
+            }
+        }
+
+        // Into `H` by length, in input order within a length.
+        let mut by_item = vec![UtilityAccumulator::new(); items.len()];
+        for (&i, acc) in order.iter().zip(accs) {
+            by_item[i as usize] = acc;
+        }
+        order.sort_unstable_by_key(|&i| (items[i as usize].len, i));
         let mut h: FxHashMap<HKey, UtilityAccumulator> = FxHashMap::default();
         h.reserve(items.len());
-        let mut scan = LengthScan::new(text, sa, psw, fingerprinter);
-        for &len in &lengths {
-            scan.populate(len, &by_len[&len], &mut h);
+        let mut lengths = 0;
+        for (k, &i) in order.iter().enumerate() {
+            let item = &items[i as usize];
+            if k == 0 || items[order[k - 1] as usize].len != item.len {
+                lengths += 1;
+            }
+            let acc = by_item[i as usize];
+            let fp = fingerprinter.fingerprint(item.bytes(text, sa));
+            h.entry((item.len, fp)).and_modify(|hit| hit.merge(&acc)).or_insert(acc);
         }
-        (h, lengths.len())
+        (h, lengths)
     }
 
-    /// Parallel variant of [`UsiIndex::populate_from_triplets`]: the
-    /// `L_K` length groups write to key-disjoint parts of `H` (keys
-    /// embed the length), so they are dealt out to `threads` workers and
-    /// the per-worker tables merged without conflicts. Same output as
-    /// the sequential pass.
+    /// [`UsiIndex::populate_from_triplets`], whatever `threads` is: the
+    /// one text-order pass starts no thread. Kept for callers that still
+    /// pass a thread count.
     pub fn populate_from_triplets_parallel(
         text: &[u8],
         sa: &[u32],
         psw: &LocalIndex,
         fingerprinter: &Fingerprinter,
         items: &[TopKSubstring],
-        threads: usize,
+        _threads: usize,
     ) -> (FxHashMap<HKey, UtilityAccumulator>, usize) {
-        let (lengths, by_len) = crate::topk::group_by_length(items);
-        let workers = threads.max(1).min(lengths.len());
-        if workers <= 1 {
-            return Self::populate_from_triplets(text, sa, psw, fingerprinter, items);
-        }
-        let shards: Vec<FxHashMap<HKey, UtilityAccumulator>> = std::thread::scope(|scope| {
-            let (lengths, by_len) = (&lengths, &by_len);
-            let handles: Vec<_> = (0..workers)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let mut shard = FxHashMap::default();
-                        let mut scan = LengthScan::new(text, sa, psw, fingerprinter);
-                        // strided assignment balances short and long lengths
-                        for &len in lengths.iter().skip(t).step_by(workers) {
-                            scan.populate(len, &by_len[&len], &mut shard);
-                        }
-                        shard
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-
-        let mut h: FxHashMap<HKey, UtilityAccumulator> = FxHashMap::default();
-        h.reserve(items.len());
-        for shard in shards {
-            h.extend(shard);
-        }
-        (h, lengths.len())
+        Self::populate_from_triplets(text, sa, psw, fingerprinter, items)
     }
 
     /// Populates `H` from witness estimates (phase (ii), fingerprint-set
@@ -532,74 +564,6 @@ impl UsiIndex {
             }
         }
         (h, lengths.len())
-    }
-}
-
-/// Phase (ii) for one length at a time, from the SA intervals: every
-/// occurrence of the length's top-K substrings is marked in `bits` and
-/// its owning accumulator recorded in `owner`; the set bits are then
-/// walked in text order, one word at a time. That makes the same adds
-/// in the same order as sliding a rolling fingerprint over every
-/// window, so, short of a fingerprint collision, `H` is bit-identical,
-/// at `O(n/64 + occ_len)` instead of `n` fingerprint steps. Two
-/// distinct substrings of one length never share a start, so each
-/// position has at most one owner. Buffers are reused across lengths:
-/// the walk clears `bits`, and `owner` is only read where a bit is set.
-struct LengthScan<'a> {
-    text: &'a [u8],
-    sa: &'a [u32],
-    psw: &'a LocalIndex,
-    fingerprinter: &'a Fingerprinter,
-    bits: Vec<u64>,
-    owner: Vec<u32>,
-    /// One accumulator per substring of the length, with its fingerprint.
-    slots: Vec<(u64, UtilityAccumulator)>,
-}
-
-impl<'a> LengthScan<'a> {
-    fn new(
-        text: &'a [u8],
-        sa: &'a [u32],
-        psw: &'a LocalIndex,
-        fingerprinter: &'a Fingerprinter,
-    ) -> Self {
-        Self {
-            text,
-            sa,
-            psw,
-            fingerprinter,
-            bits: vec![0; text.len().div_ceil(64)],
-            owner: vec![0; text.len()],
-            slots: Vec::new(),
-        }
-    }
-
-    /// Adds the entries of length `len` (the substrings in `group`) to `h`.
-    fn populate(
-        &mut self,
-        len: u32,
-        group: &[&TopKSubstring],
-        h: &mut FxHashMap<HKey, UtilityAccumulator>,
-    ) {
-        for (slot, item) in group.iter().enumerate() {
-            let fp = self.fingerprinter.fingerprint(item.bytes(self.text, self.sa));
-            self.slots.push((fp, UtilityAccumulator::new()));
-            for &p in &self.sa[item.lb as usize..=item.rb as usize] {
-                self.bits[p as usize / 64] |= 1 << (p % 64);
-                self.owner[p as usize] = slot as u32;
-            }
-        }
-        for (w, word) in self.bits.iter_mut().enumerate() {
-            let mut set = std::mem::take(word);
-            while set != 0 {
-                let p = w * 64 + set.trailing_zeros() as usize;
-                self.slots[self.owner[p] as usize].1.add(self.psw.local(p, len as usize));
-                set &= set - 1;
-            }
-        }
-        for (fp, acc) in self.slots.drain(..) {
-            h.entry((len, fp)).and_modify(|hit| hit.merge(&acc)).or_insert(acc);
-        }
     }
 }
 

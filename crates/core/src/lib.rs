@@ -47,7 +47,7 @@ pub mod storage;
 pub mod topk;
 
 pub use approx::{approximate_top_k, ApproxConfig, ApproxResult};
-pub use builder::{BuildOptions, TopKStrategy, UsiBuilder};
+pub use builder::{TopKStrategy, UsiBuilder};
 pub use engine::QueryEngine;
 pub use index::{BuildStats, QuerySource, UsiIndex, UsiQuery};
 pub use merge::{merge_accumulators, merged_total};

@@ -31,7 +31,7 @@
 //! asking for memory it names but does not hold.
 
 use crate::index::{BuildStats, UsiIndex};
-use crate::storage::{IndexStorage, IndexView, H_ENTRY_BYTES};
+use crate::storage::{le_f64s, le_u32s, IndexStorage, IndexView, H_ENTRY_BYTES};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -228,14 +228,13 @@ impl UsiIndex {
         // Product local window, whose PSW takes logarithms. A bad weight
         // enters the sums as 1.0, never reaching the logarithm, and the
         // first one in text order refuses the file. Both array sections
-        // are decoded in fixed-size chunks straight from the bytes: the
-        // view's per-record accessors slowed the permutation pass by a
-        // third.
+        // are decoded in fixed-size chunks straight from the bytes, as
+        // the views' iterators decode them: per-record accessors slowed
+        // the permutation pass by a third.
         let product = local == usi_strings::LocalWindow::Product;
         let mut bad_weight = None;
         let psw = LocalIndex::from_weights(
-            bytes[weights_off..sa_off].chunks_exact(8).map(|record| {
-                let w = f64::from_le_bytes(record.try_into().expect("8 bytes"));
+            le_f64s(&bytes[weights_off..sa_off]).map(|w| {
                 if w.is_finite() && !(product && w <= 0.0) {
                     return w;
                 }
@@ -254,8 +253,7 @@ impl UsiIndex {
 
         // Suffix array: a permutation of 0..n, one bit per position.
         let mut seen = vec![0u64; n.div_ceil(64)];
-        let ranks = bytes[sa_off..h_count_off].chunks_exact(4);
-        for p in ranks.map(|r| u32::from_le_bytes(r.try_into().expect("4 bytes"))) {
+        for p in le_u32s(&bytes[sa_off..h_count_off]) {
             let (word, bit) = (p as usize / 64, 1u64 << (p % 64));
             if p as usize >= n || seen[word] & bit != 0 {
                 return Err(PersistError::Corrupt("suffix array permutation"));

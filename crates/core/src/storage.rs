@@ -229,9 +229,15 @@ impl SaRef<'_> {
         }
     }
 
-    /// The ranks in order.
+    /// The ranks in order. A section decodes chunk by chunk, without a
+    /// match and a bounds check per record.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len()).map(|i| self.at(i))
+        // One of the two halves is empty.
+        let (ranks, bytes): (&[u32], &[u8]) = match *self {
+            Self::Ranks(sa) => (sa, &[]),
+            Self::Bytes(b) => (&[], b),
+        };
+        ranks.iter().copied().chain(le_u32s(bytes))
     }
 }
 
@@ -289,9 +295,14 @@ impl WeightsRef<'_> {
         }
     }
 
-    /// The weights in order.
+    /// The weights in order, decoded like [`SaRef::iter`].
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        (0..self.len()).map(|i| self.at(i))
+        // One of the two halves is empty.
+        let (weights, bytes): (&[f64], &[u8]) = match *self {
+            Self::Slice(w) => (w, &[]),
+            Self::Bytes(b) => (&[], b),
+        };
+        weights.iter().copied().chain(le_f64s(bytes))
     }
 
     /// Appends `range` of the weights to `out` (the segmented
@@ -299,7 +310,7 @@ impl WeightsRef<'_> {
     pub fn extend_range_into(&self, range: Range<usize>, out: &mut Vec<f64>) {
         match self {
             Self::Slice(w) => out.extend_from_slice(&w[range]),
-            Self::Bytes(_) => out.extend(range.map(|i| self.at(i))),
+            Self::Bytes(b) => out.extend(le_f64s(&b[8 * range.start..8 * range.end])),
         }
     }
 
@@ -307,9 +318,19 @@ impl WeightsRef<'_> {
     pub fn to_vec(&self) -> Vec<f64> {
         match self {
             Self::Slice(w) => w.to_vec(),
-            Self::Bytes(_) => self.iter().collect(),
+            Self::Bytes(b) => le_f64s(b).collect(),
         }
     }
+}
+
+/// The little-endian `u32` records of a section, in order.
+pub(crate) fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|r| u32::from_le_bytes(r.try_into().expect("4-byte record")))
+}
+
+/// The little-endian `f64` records of a section, in order.
+pub(crate) fn le_f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes.chunks_exact(8).map(|r| f64::from_le_bytes(r.try_into().expect("8-byte record")))
 }
 
 /// The section map a view-backed [`crate::UsiIndex`] carries: byte

@@ -10,7 +10,6 @@
 //!   and the streaming baselines, where full occurrence lists are
 //!   unavailable).
 
-use usi_strings::FxHashMap;
 use usi_suffix::LcpInterval;
 
 /// Task (i)'s listing: the substrings of `nodes` as triplets, the nodes
@@ -30,21 +29,6 @@ pub(crate) fn list_top_k(
         }
     }
     out
-}
-
-/// Groups exact triplets by substring length and returns the sorted
-/// distinct lengths alongside the groups. A length group is the unit of
-/// work of phase (ii), and — because the hash-table key embeds the
-/// length — the unit of sharding for the parallel populate path: every
-/// group writes a key-disjoint part of `H`.
-pub fn group_by_length(items: &[TopKSubstring]) -> (Vec<u32>, FxHashMap<u32, Vec<&TopKSubstring>>) {
-    let mut by_len: FxHashMap<u32, Vec<&TopKSubstring>> = FxHashMap::default();
-    for item in items {
-        by_len.entry(item.len).or_default().push(item);
-    }
-    let mut lengths: Vec<u32> = by_len.keys().copied().collect();
-    lengths.sort_unstable();
-    (lengths, by_len)
 }
 
 /// A top-K frequent substring as a suffix-array interval triplet

@@ -172,28 +172,44 @@ proptest! {
     }
 
 
-    /// Phase (ii) from the SA intervals equals the sliding-window pass
-    /// bit for bit. `populate_from_estimates` still slides a rolling
+    /// Phase (ii)'s text-order pass equals the sliding-window pass bit
+    /// for bit. `populate_from_estimates` still slides a rolling
     /// fingerprint over every window, so fed the exact top-K as
-    /// witnesses it is the reference for the exact populate paths, at
-    /// every thread count.
+    /// witnesses it is the reference for the exact populate path.
+    /// `shape` 1–3 (half the cases) swaps the random text for a unary
+    /// or period-2/3 one, whose chains of triplets are as long as the
+    /// text. `wide_k` (half the cases) draws `k` up to twice the number
+    /// of distinct substrings; the other half keep `k ≤ n`, as real
+    /// builds run (`K = n/100`).
     #[test]
     fn phase2_scan_equals_sliding_reference(
         alphabet in 0usize..4,
+        shape in 0usize..6,
         len in 1usize..400,
         seed in any::<u64>(),
         k_pick in any::<u64>(),
+        wide_k in any::<bool>(),
         product in any::<bool>(),
     ) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sigma = [2u32, 3, 4, 256][alphabet];
-        let text: Vec<u8> = (0..len).map(|_| rng.gen_range(0..sigma) as u8).collect();
+        let text: Vec<u8> = match shape {
+            period @ 1..=3 => b"abc"[..period].iter().copied().cycle().take(len).collect(),
+            _ => (0..len).map(|_| rng.gen_range(0..sigma) as u8).collect(),
+        };
         let weights: Vec<f64> = (0..len).map(|_| rng.gen_range(0.01..2.0)).collect();
         let local = if product { LocalWindow::Product } else { LocalWindow::Sum };
         let psw = GlobalUtility::with_parts(GlobalAggregator::Sum, local).local_index(&weights);
         let fingerprinter = Fingerprinter::with_base(seed);
-        let k = 1 + (k_pick % len as u64) as usize;
+        let k = if wide_k {
+            let sa = usi_suffix::suffix_array(&text);
+            let repeated: u32 = usi_suffix::lcp_array(&text, &sa).iter().sum();
+            let distinct = (len * (len + 1) / 2 - repeated as usize) as u64;
+            1 + (k_pick % (2 * distinct)) as usize
+        } else {
+            1 + (k_pick % len as u64) as usize
+        };
         let (items, sa) = exact_top_k(&text, k);
         let witnesses: Vec<TopKEstimate> = items.iter().map(|item| item.to_estimate(&sa)).collect();
 
@@ -201,12 +217,6 @@ proptest! {
         let want = (bits(&h), lengths);
         let (h, lengths) = UsiIndex::populate_from_triplets(&text, &sa, &psw, &fingerprinter, &items);
         prop_assert_eq!(&(bits(&h), lengths), &want);
-        for threads in [2usize, 3, 8] {
-            let (h, lengths) = UsiIndex::populate_from_triplets_parallel(
-                &text, &sa, &psw, &fingerprinter, &items, threads,
-            );
-            prop_assert_eq!(&(bits(&h), lengths), &want);
-        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! * a frozen **base** [`UsiIndex`] covers the original document;
 //! * appended letters land in an in-memory **tail**;
 //! * when the tail crosses `seal_threshold` it is **sealed** into an
-//!   immutable generation-0 segment — a small `UsiIndex` built with
-//!   `BuildOptions { threads }` — instead of rebuilding everything;
+//!   immutable generation-0 segment — a small `UsiIndex`, built on the
+//!   calling thread — instead of rebuilding everything;
 //! * a generation-tiered **compaction** merges `compact_fanout`
 //!   adjacent segments of one generation into a single segment of the
 //!   next, keeping the segment count logarithmic in the appended
@@ -45,9 +45,6 @@ pub struct IngestOptions {
     /// Merge a generation tier once it holds this many segments (the
     /// LSM fan-out `F`).
     pub compact_fanout: usize,
-    /// Worker threads for segment and compaction builds
-    /// (`BuildOptions { threads }`).
-    pub threads: usize,
     /// Deterministic fingerprint seed for segment builds, so a WAL
     /// replay rebuilds byte-identical segments.
     pub seed: u64,
@@ -70,13 +67,7 @@ pub struct IngestOptions {
 
 impl Default for IngestOptions {
     fn default() -> Self {
-        Self {
-            seal_threshold: 4096,
-            compact_fanout: 8,
-            threads: 1,
-            seed: 0x5ea1,
-            segment_dir: None,
-        }
+        Self { seal_threshold: 4096, compact_fanout: 8, seed: 0x5ea1, segment_dir: None }
     }
 }
 
@@ -84,7 +75,6 @@ impl IngestOptions {
     fn normalised(mut self) -> Self {
         self.seal_threshold = self.seal_threshold.max(1);
         self.compact_fanout = self.compact_fanout.max(2);
-        self.threads = self.threads.max(1);
         self
     }
 }
@@ -201,7 +191,7 @@ pub struct IngestIndex {
 
 impl IngestIndex {
     /// Wraps a built base index. `opts` are clamped to sane minima
-    /// (`seal_threshold ≥ 1`, `compact_fanout ≥ 2`, `threads ≥ 1`).
+    /// (`seal_threshold ≥ 1`, `compact_fanout ≥ 2`).
     pub fn new(base: UsiIndex, opts: IngestOptions) -> Self {
         Self {
             base: Arc::new(base),
@@ -308,16 +298,15 @@ impl IngestIndex {
     }
 
     /// The builder used for seals and compactions: same utility
-    /// function as the base, deterministic fingerprints, the configured
-    /// thread count. Public so the background compactor can snapshot it
-    /// together with a [`CompactionPlan`] and build off-lock.
+    /// function as the base, deterministic fingerprints. Public so the
+    /// background compactor can snapshot it together with a
+    /// [`CompactionPlan`] and build off-lock.
     pub fn segment_builder(&self) -> UsiBuilder {
         let utility = self.base.utility();
         UsiBuilder::new()
             .with_aggregator(utility.aggregator)
             .with_local_window(utility.local)
             .deterministic(self.opts.seed)
-            .with_threads(self.opts.threads)
     }
 
     /// Appends one weighted letter; seals the tail into a segment when

@@ -42,8 +42,6 @@ pub struct IngestConfig {
     pub seal_threshold: usize,
     /// Merge a generation tier at this many segments.
     pub compact_fanout: usize,
-    /// Worker threads for segment/compaction builds.
-    pub threads: usize,
     /// Deterministic fingerprint seed for segment builds.
     pub seed: u64,
     /// `fdatasync` the log on every append (durable acknowledgements).
@@ -65,7 +63,6 @@ impl Default for IngestConfig {
         Self {
             seal_threshold: opts.seal_threshold,
             compact_fanout: opts.compact_fanout,
-            threads: opts.threads,
             seed: opts.seed,
             sync_wal: true,
             background_compaction: false,
@@ -79,7 +76,6 @@ impl IngestConfig {
         IngestOptions {
             seal_threshold: self.seal_threshold,
             compact_fanout: self.compact_fanout,
-            threads: self.threads,
             seed: self.seed,
             segment_dir: self.segment_dir.clone(),
         }

@@ -1,8 +1,16 @@
-//! Kasai's linear-time LCP array construction.
+//! The LCP array, through the permuted LCP array (Φ).
 //!
 //! `LCP[0] = 0` and, for `j > 0`, `LCP[j]` is the length of the longest
 //! common prefix of the suffixes starting at `SA[j−1]` and `SA[j]`
 //! (paper, Section III, \[30\]).
+//!
+//! The construction is the Φ algorithm of Kärkkäinen, Manzini and
+//! Puglisi ("Permuted Longest-Common-Prefix Array", CPM 2009). It
+//! computes the same array as Kasai et al.'s algorithm, but fills it in
+//! text order instead of reading the suffix array at random: first
+//! `Φ[SA[r]] = SA[r−1]`, then `PLCP[i] = lcp(i, Φ[i])` for `i = 0, 1, …`
+//! in the same buffer (each value is at least its predecessor minus
+//! one), and last `LCP[r] = PLCP[SA[r]]`.
 
 /// Computes the LCP array of `text` given its suffix array, in `O(n)`.
 ///
@@ -15,27 +23,27 @@
 pub fn lcp_array(text: &[u8], sa: &[u32]) -> Vec<u32> {
     let n = text.len();
     assert_eq!(sa.len(), n, "suffix array length must match text length");
-    let mut lcp = vec![0u32; n];
     if n == 0 {
-        return lcp;
+        return Vec::new();
     }
-    // rank[i] = position of suffix i in the suffix array
-    let rank = rank_array(sa);
+    // Φ: each suffix's predecessor in SA order; the smallest suffix has
+    // none, and `n` points past the text so that it matches nothing.
+    let mut plcp = vec![0u32; n];
+    plcp[sa[0] as usize] = u32::try_from(n).expect("texts have fewer than 2^32 letters");
+    for pair in sa.windows(2) {
+        plcp[pair[1] as usize] = pair[0];
+    }
+    // PLCP in text order, over Φ in place. `h` starts at the previous
+    // value minus one, a lower bound; it is already 0 on reaching the
+    // smallest suffix.
     let mut h = 0usize;
     for i in 0..n {
-        let r = rank[i] as usize;
-        if r > 0 {
-            let j = sa[r - 1] as usize;
-            while i + h < n && j + h < n && text[i + h] == text[j + h] {
-                h += 1;
-            }
-            lcp[r] = h as u32;
-            h = h.saturating_sub(1);
-        } else {
-            h = 0;
-        }
+        let j = plcp[i] as usize;
+        h += text[i + h..].iter().zip(&text[j + h..]).take_while(|(a, b)| a == b).count();
+        plcp[i] = h as u32;
+        h = h.saturating_sub(1);
     }
-    lcp
+    sa.iter().map(|&p| plcp[p as usize]).collect()
 }
 
 /// [`lcp_array`], whatever `threads` is: a blockwise parallel Kasai

@@ -5,11 +5,14 @@
 //! as `SA(S)`), this crate provides the *enhanced suffix array* toolkit
 //! that simulates every suffix-tree operation USI needs:
 //!
-//! * [`sais`] — linear-time suffix array construction (SA-IS), serial:
-//!   on two cores it beat both a block-sharded parallel sort and SA-IS
-//!   with threaded classify and histogram phases, so neither is kept;
-//! * [`lcp`] — Kasai's linear-time LCP array, serial: a blockwise
-//!   parallel pass won nothing on two cores;
+//! * [`sais`] — linear-time suffix array construction (SA-IS, laid out
+//!   like sais-lite: the text read in place, the recursion inside the
+//!   result's buffer), serial: on two cores it beat both a block-sharded
+//!   parallel sort and SA-IS with threaded classify and histogram
+//!   phases, so neither is kept;
+//! * [`lcp`] — the linear-time LCP array through the permuted LCP
+//!   array (Φ), serial: a blockwise parallel Kasai won nothing on two
+//!   cores;
 //! * [`rmq`] — sparse-table range-minimum queries;
 //! * [`lce`] — longest-common-extension oracles (naive / Karp–Rabin /
 //!   RMQ-based), the substitute for Prezza's in-place LCE structure;

@@ -1,10 +1,24 @@
 //! Linear-time suffix array construction (SA-IS).
 //!
-//! Implementation of the induced-sorting algorithm of Nong, Zhang and Chan
-//! (DCC 2009), the `O(n)` construction the paper cites for `SA(S)` over
-//! integer alphabets. We append an internal sentinel (letter 0 after
-//! shifting the alphabet by one) so every recursion level enjoys the
-//! unique-smallest-last-character invariant, then drop it from the result.
+//! The induced-sorting algorithm of Nong, Zhang and Chan (DCC 2009), the
+//! `O(n)` construction the paper cites for `SA(S)` over integer
+//! alphabets, laid out like Yuta Mori's sais-lite:
+//!
+//! * the text is read in place, bytes as bytes, and ends in a *virtual*
+//!   sentinel smaller than every letter, so the last suffix is L-type;
+//! * there is no type array: an SA slot holds a suffix, or while the
+//!   LMS substrings are sorted its predecessor, and its sign bit says
+//!   whether the scan still induces from it; types are read off
+//!   neighbouring letters;
+//! * LMS substrings are named from their stored lengths: two are equal
+//!   when their lengths and letters are;
+//! * the reduced string and its recursion live inside the SA buffer.
+//!
+//! So the working memory is the result's `4n` bytes plus two bucket
+//! arrays per level. The signed slots limit texts to fewer than `2^31`
+//! letters. Bucket pointers are indexed by letter at every placement:
+//! sais-lite's cached pointer to the current bucket read 5–7% slower
+//! over four 1 Mi-letter documents on a 2-vCPU machine.
 //!
 //! Construction is serial. The induced-sorting sweeps are inherently
 //! sequential (every placement depends on earlier placements). Two
@@ -14,30 +28,21 @@
 //! against 112–137 ms). Sharding the sort over text blocks, with
 //! prefix-doubling merges, took 1.5–6× longer.
 
-/// Marker for an empty SA slot during induced sorting.
-const EMPTY: u32 = u32::MAX;
-
 /// Builds the suffix array of `text`: the permutation `sa` of `[0, n)`
 /// such that `sa[i]` is the start of the `i`-th lexicographically smallest
-/// suffix. `O(n)` time and `O(n)` words of space.
+/// suffix. `O(n)` time; beyond the result, the work space is two
+/// bucket arrays per recursion level (see the module docs).
 ///
 /// ```
 /// use usi_suffix::suffix_array;
 /// assert_eq!(suffix_array(b"banana"), vec![5, 3, 1, 0, 4, 2]);
 /// assert_eq!(suffix_array(b""), Vec::<u32>::new());
 /// ```
+///
+/// # Panics
+/// Panics if `text` has `2^31` letters or more.
 pub fn suffix_array(text: &[u8]) -> Vec<u32> {
-    if text.is_empty() {
-        return Vec::new();
-    }
-    assert!(text.len() < u32::MAX as usize - 1, "texts must fit in u32 index space");
-    // Shift the alphabet by one and append the sentinel 0.
-    let mut s: Vec<u32> = Vec::with_capacity(text.len() + 1);
-    s.extend(text.iter().map(|&b| b as u32 + 1));
-    s.push(0);
-    let sa = sais(&s, 257);
-    // sa[0] is the sentinel suffix; drop it.
-    sa[1..].to_vec()
+    sort_suffixes(text, 256)
 }
 
 /// [`suffix_array`], whatever `threads` is: construction is serial (see
@@ -54,201 +59,302 @@ pub fn suffix_array_threads(text: &[u8], _threads: usize) -> Vec<u32> {
 
 /// Builds the suffix array of an *integer* string over the alphabet
 /// `[0, sigma)` — the paper's general setting `Σ = [0, n^{O(1)})`.
-/// Same `O(n + sigma)` algorithm as [`suffix_array`].
+/// The same `O(n + sigma)` code as [`suffix_array`].
 ///
 /// ```
 /// use usi_suffix::sais::suffix_array_ints;
-/// // 2 0 1 0 — suffixes sorted: [0,...]@1? compare: s=[2,0,1,0]
+/// // suffixes of 2 0 1 0, smallest first: "0", "0 1 0", "1 0", "2 0 1 0"
 /// let sa = suffix_array_ints(&[2, 0, 1, 0], 3);
 /// assert_eq!(sa, vec![3, 1, 2, 0]);
 /// ```
 ///
 /// # Panics
-/// Panics if any letter is ≥ `sigma` or `sigma + 1` overflows `u32`.
+/// Panics if any letter is ≥ `sigma`, or `text` has `2^31` letters or
+/// more.
 pub fn suffix_array_ints(text: &[u32], sigma: usize) -> Vec<u32> {
-    if text.is_empty() {
-        return Vec::new();
-    }
-    assert!(
-        (sigma as u64) < u32::MAX as u64,
-        "alphabet too large for the shifted sentinel encoding"
-    );
     assert!(text.iter().all(|&c| (c as usize) < sigma), "letter out of the declared alphabet");
-    let mut s: Vec<u32> = Vec::with_capacity(text.len() + 1);
-    s.extend(text.iter().map(|&c| c + 1));
-    s.push(0);
-    let sa = sais(&s, sigma + 2);
-    sa[1..].to_vec()
+    sort_suffixes(text, sigma)
 }
 
-/// Suffix-type classification: S-type (true) or L-type (false).
-fn classify(s: &[u32]) -> Vec<bool> {
-    let n = s.len();
-    let mut stype = vec![false; n];
-    stype[n - 1] = true;
-    for i in (0..n - 1).rev() {
-        stype[i] = s[i] < s[i + 1] || (s[i] == s[i + 1] && stype[i + 1]);
+/// A letter SA-IS sorts: a byte, an integer letter, or a name of the
+/// reduced string (never negative).
+trait Letter: Copy + Ord {
+    /// The letter's bucket.
+    fn bucket(self) -> usize;
+}
+
+impl Letter for u8 {
+    #[inline]
+    fn bucket(self) -> usize {
+        self as usize
     }
-    stype
 }
 
-/// Letter histogram (bucket sizes).
-fn histogram(s: &[u32], sigma: usize) -> Vec<u32> {
-    let mut bkt = vec![0u32; sigma];
-    for &c in s {
-        bkt[c as usize] += 1;
+impl Letter for u32 {
+    #[inline]
+    fn bucket(self) -> usize {
+        self as usize
     }
-    bkt
 }
 
-/// SA-IS over an integer string whose last character is the unique
-/// smallest (the sentinel invariant). `sigma` bounds the letter values.
-fn sais(s: &[u32], sigma: usize) -> Vec<u32> {
-    let n = s.len();
-    debug_assert!(n >= 1);
+impl Letter for i32 {
+    #[inline]
+    fn bucket(self) -> usize {
+        self as usize
+    }
+}
+
+fn sort_suffixes<T: Letter>(text: &[T], sigma: usize) -> Vec<u32> {
+    assert!(text.len() <= i32::MAX as usize, "texts must have fewer than 2^31 letters");
+    let mut sa = vec![0i32; text.len()];
+    if !text.is_empty() {
+        sais(text, &mut sa, sigma);
+    }
+    sa.into_iter().map(|p| p as u32).collect()
+}
+
+/// SA-IS of `text` (letters below `sigma`) into `sa[..n]`; the rest of
+/// `sa` is free space for the recursion.
+fn sais<T: Letter>(text: &[T], sa: &mut [i32], sigma: usize) {
+    let n = text.len();
     if n == 1 {
-        return vec![0];
+        sa[0] = 0;
+        return;
     }
-    if n == 2 {
-        // sentinel invariant: s[1] < s[0]
-        return vec![1, 0];
+    let mut counts = vec![0u32; sigma];
+    for &c in text {
+        counts[c.bucket()] += 1;
     }
+    let mut bkt = vec![0u32; sigma];
 
-    // --- classify suffixes: S-type (true) or L-type (false) ---
-    let stype = classify(s);
-    let is_lms = |i: usize| i > 0 && stype[i] && !stype[i - 1];
-
-    // --- bucket sizes ---
-    let bkt = histogram(s, sigma);
-    let bucket_heads = |bkt: &[u32]| {
-        let mut heads = vec![0u32; bkt.len()];
-        let mut acc = 0u32;
-        for (h, &c) in heads.iter_mut().zip(bkt) {
-            *h = acc;
-            acc += c;
+    // Stage 1: seed every LMS suffix but the leftmost at the tail of its
+    // bucket, as its predecessor (the leftmost one only orders suffixes
+    // to its left, none of them LMS), sort the LMS substrings by
+    // induction and name them.
+    sa[..n].fill(0);
+    bucket_ends(&counts, &mut bkt);
+    let (mut m, mut leftmost) = (0, None);
+    for_each_lms_rev(text, |p| {
+        if let Some(q) = leftmost.replace(p) {
+            let c = text[q].bucket();
+            bkt[c] -= 1;
+            sa[bkt[c] as usize] = q as i32 - 1;
         }
-        heads
-    };
-    let bucket_tails = |bkt: &[u32]| {
-        let mut tails = vec![0u32; bkt.len()];
-        let mut acc = 0u32;
-        for (t, &c) in tails.iter_mut().zip(bkt) {
-            acc += c;
-            *t = acc;
+        m += 1;
+    });
+    let names = match leftmost {
+        None => 0,
+        Some(p) if m == 1 => {
+            // The one LMS suffix already sits where stage 3 puts it.
+            sa[bkt[text[p].bucket()] as usize - 1] = p as i32;
+            1
         }
-        tails
+        Some(_) => {
+            sort_lms_substrings(text, &mut sa[..n], &counts, &mut bkt);
+            name_lms_substrings(text, &mut sa[..n], m)
+        }
     };
 
-    let induce = |sa: &mut [u32]| {
-        // Induce L-type suffixes left to right.
-        let mut heads = bucket_heads(&bkt);
-        for i in 0..n {
-            let j = sa[i];
-            if j != EMPTY && j > 0 && !stype[j as usize - 1] {
-                let c = s[j as usize - 1] as usize;
-                sa[heads[c] as usize] = j - 1;
-                heads[c] += 1;
+    // Stage 2: if names repeat, order the LMS suffixes by the suffix
+    // array of the reduced string, their names in text order, which is
+    // gathered at the end of the buffer and sorted in front of it.
+    if names < m {
+        let end = sa.len();
+        let mut j = end;
+        for i in (m..m + n / 2).rev() {
+            if sa[i] != 0 {
+                j -= 1;
+                sa[j] = sa[i] - 1;
             }
         }
-        // Induce S-type suffixes right to left.
-        let mut tails = bucket_tails(&bkt);
-        for i in (0..n).rev() {
-            let j = sa[i];
-            if j != EMPTY && j > 0 && stype[j as usize - 1] {
-                let c = s[j as usize - 1] as usize;
-                tails[c] -= 1;
-                sa[tails[c] as usize] = j - 1;
-            }
+        let (work, reduced) = sa.split_at_mut(end - m);
+        sais(&*reduced, work, names);
+        let mut k = m;
+        for_each_lms_rev(text, |p| {
+            k -= 1;
+            reduced[k] = p as i32;
+        });
+        for r in &mut work[..m] {
+            *r = reduced[*r as usize];
         }
-    };
-
-    // --- stage 1: approximately sort LMS suffixes by induced sorting ---
-    let mut sa = vec![EMPTY; n];
-    {
-        let mut tails = bucket_tails(&bkt);
-        for i in (1..n).rev() {
-            if is_lms(i) {
-                let c = s[i] as usize;
-                tails[c] -= 1;
-                sa[tails[c] as usize] = i as u32;
-            }
-        }
-        induce(&mut sa);
     }
 
-    // --- name sorted LMS substrings ---
-    // Two LMS positions are ≥ 2 apart, so indexing names by p/2 is injective.
-    let mut name_of = vec![EMPTY; n / 2 + 1];
-    let mut name: u32 = 0;
-    let mut prev: u32 = EMPTY;
-    for &p in sa.iter().take(n) {
-        if p == EMPTY || !is_lms(p as usize) {
-            continue;
+    // Stage 3: move the sorted LMS suffixes to their bucket tails, then
+    // induce every other suffix from them.
+    if m > 1 {
+        bucket_ends(&counts, &mut bkt);
+        let mut j = n;
+        for i in (0..m).rev() {
+            let p = sa[i];
+            let c = text[p as usize].bucket();
+            bkt[c] -= 1;
+            let t = bkt[c] as usize;
+            sa[t + 1..j].fill(0);
+            sa[t] = p;
+            j = t;
         }
-        if prev != EMPTY && !lms_substrings_equal(s, &stype, prev as usize, p as usize) {
-            name += 1;
-        }
-        name_of[p as usize / 2] = name;
-        prev = p;
+        sa[..j].fill(0);
     }
-    let num_names = name as usize + 1;
-
-    // --- reduced string over LMS positions in text order ---
-    let lms_positions: Vec<u32> = (1..n).filter(|&i| is_lms(i)).map(|i| i as u32).collect();
-    let s1: Vec<u32> = lms_positions.iter().map(|&p| name_of[p as usize / 2]).collect();
-
-    let sa1: Vec<u32> = if num_names == s1.len() {
-        // All names distinct: the order is the inverse permutation.
-        let mut sa1 = vec![0u32; s1.len()];
-        for (i, &nm) in s1.iter().enumerate() {
-            sa1[nm as usize] = i as u32;
-        }
-        sa1
-    } else {
-        sais(&s1, num_names)
-    };
-
-    // --- stage 2: place LMS suffixes in their true order, induce again ---
-    sa.fill(EMPTY);
-    {
-        let mut tails = bucket_tails(&bkt);
-        for &i1 in sa1.iter().rev() {
-            let p = lms_positions[i1 as usize];
-            let c = s[p as usize] as usize;
-            tails[c] -= 1;
-            sa[tails[c] as usize] = p;
-        }
-        induce(&mut sa);
-    }
-    sa
+    induce(text, &mut sa[..n], &counts, &mut bkt);
 }
 
-/// Compares the LMS substrings starting at `a` and `b` (letters and types
-/// up to and including the next LMS position).
-fn lms_substrings_equal(s: &[u32], stype: &[bool], a: usize, b: usize) -> bool {
-    let n = s.len();
-    if a == b {
-        return true;
-    }
-    // The sentinel LMS substring (at n−1) is unique.
-    if a == n - 1 || b == n - 1 {
-        return false;
-    }
-    let is_lms = |i: usize| i > 0 && stype[i] && !stype[i - 1];
-    let mut k = 0usize;
+/// Calls `visit` with every LMS position of `text` (an S-type position
+/// after an L-type one), right to left. The last letter is L-type
+/// against the virtual sentinel, and a letter equal to its right
+/// neighbour has that neighbour's type.
+fn for_each_lms_rev<T: Letter>(text: &[T], mut visit: impl FnMut(usize)) {
+    let mut i = text.len() - 1;
     loop {
-        let a_end = k > 0 && is_lms(a + k);
-        let b_end = k > 0 && is_lms(b + k);
-        if a_end && b_end {
-            return true;
+        // `i` is L-type: walk to the start of its run.
+        while i > 0 && text[i - 1] >= text[i] {
+            i -= 1;
         }
-        if a_end != b_end {
-            return false;
+        if i == 0 {
+            return;
         }
-        if s[a + k] != s[b + k] || stype[a + k] != stype[b + k] {
-            return false;
+        // `i - 1` is S-type: walk to the start of its run.
+        i -= 1;
+        while i > 0 && text[i - 1] <= text[i] {
+            i -= 1;
         }
-        k += 1;
+        if i == 0 {
+            return;
+        }
+        visit(i);
+        i -= 1;
+    }
+}
+
+/// Stage 1's induced sort of the LMS substrings, from the seeds. A slot
+/// holds the predecessor of its suffix, complemented when that
+/// predecessor is of the other type than the scan induces, and is
+/// cleared once induced from. What is left are the LMS positions,
+/// complemented, in the order of their substrings.
+fn sort_lms_substrings<T: Letter>(text: &[T], sa: &mut [i32], counts: &[u32], bkt: &mut [u32]) {
+    let n = text.len();
+    // L-type suffixes, left to right, from the last suffix on.
+    bucket_starts(counts, bkt);
+    let mut place_l = |sa: &mut [i32], j: usize| {
+        let c = text[j].bucket();
+        let pred = j as i32 - 1;
+        sa[bkt[c] as usize] = if text[j - 1] < text[j] { !pred } else { pred };
+        bkt[c] += 1;
+    };
+    place_l(sa, n - 1);
+    for i in 0..n {
+        let j = sa[i];
+        if j > 0 {
+            place_l(sa, j as usize);
+            sa[i] = 0;
+        } else if j < 0 {
+            sa[i] = !j;
+        }
+    }
+    // S-type suffixes, right to left; an LMS suffix is kept as itself.
+    bucket_ends(counts, bkt);
+    for i in (0..n).rev() {
+        let j = sa[i];
+        if j > 0 {
+            let j = j as usize;
+            let c = text[j].bucket();
+            bkt[c] -= 1;
+            sa[bkt[c] as usize] = if text[j - 1] > text[j] { !(j as i32) } else { j as i32 - 1 };
+            sa[i] = 0;
+        }
+    }
+}
+
+/// Names the sorted LMS substrings: moves them to `sa[..m]`, and stores
+/// the 1-based name of the substring at `p` in `sa[m + p / 2]` (LMS
+/// positions are at least two apart). Substrings are equal when their
+/// lengths and letters are, since equal letters up to an LMS end imply
+/// equal types; the last one, which runs into the virtual sentinel, is
+/// unique. Returns the number of names.
+fn name_lms_substrings<T: Letter>(text: &[T], sa: &mut [i32], m: usize) -> usize {
+    let n = text.len();
+    let mut j = 0;
+    for i in 0..n {
+        let p = sa[i];
+        if p < 0 {
+            sa[i] = 0;
+            sa[j] = !p;
+            j += 1;
+            if j == m {
+                break;
+            }
+        }
+    }
+    debug_assert_eq!(j, m, "every LMS substring is sorted");
+    let (sorted, rest) = sa.split_at_mut(m);
+    let mut end = n;
+    for_each_lms_rev(text, |p| {
+        rest[p / 2] = (end - p) as i32;
+        end = p + 1;
+    });
+    let (mut name, mut q, mut qlen) = (0, n, 0);
+    for &p in sorted.iter() {
+        let p = p as usize;
+        let plen = rest[p / 2] as usize;
+        if plen != qlen || q + plen >= n || text[p..p + plen] != text[q..q + plen] {
+            name += 1;
+            (q, qlen) = (p, plen);
+        }
+        rest[p / 2] = name as i32;
+    }
+    name
+}
+
+/// Induces the whole suffix array from the LMS suffixes at their bucket
+/// tails. A slot holds its suffix, complemented when the scan must not
+/// induce from it (its predecessor is of the other type, or missing).
+fn induce<T: Letter>(text: &[T], sa: &mut [i32], counts: &[u32], bkt: &mut [u32]) {
+    let n = text.len();
+    // L-type suffixes, left to right, from the last suffix on.
+    bucket_starts(counts, bkt);
+    let mut place_l = |sa: &mut [i32], j: usize| {
+        let c = text[j].bucket();
+        sa[bkt[c] as usize] = if j > 0 && text[j - 1] < text[j] { !(j as i32) } else { j as i32 };
+        bkt[c] += 1;
+    };
+    place_l(sa, n - 1);
+    for i in 0..n {
+        let j = sa[i];
+        sa[i] = !j;
+        if j > 0 {
+            place_l(sa, j as usize - 1);
+        }
+    }
+    // S-type suffixes, right to left.
+    bucket_ends(counts, bkt);
+    for i in (0..n).rev() {
+        let j = sa[i];
+        if j > 0 {
+            let j = j as usize - 1;
+            let c = text[j].bucket();
+            bkt[c] -= 1;
+            sa[bkt[c] as usize] =
+                if j == 0 || text[j - 1] > text[j] { !(j as i32) } else { j as i32 };
+        } else {
+            sa[i] = !j;
+        }
+    }
+}
+
+/// Points each letter's bucket at its first slot.
+fn bucket_starts(counts: &[u32], bkt: &mut [u32]) {
+    let mut sum = 0;
+    for (b, &c) in bkt.iter_mut().zip(counts) {
+        *b = sum;
+        sum += c;
+    }
+}
+
+/// Points each letter's bucket one past its last slot.
+fn bucket_ends(counts: &[u32], bkt: &mut [u32]) {
+    let mut sum = 0;
+    for (b, &c) in bkt.iter_mut().zip(counts) {
+        sum += c;
+        *b = sum;
     }
 }
 

@@ -7,17 +7,69 @@ use usi_strings::Fingerprinter;
 use usi_suffix::naive::{lcp_array_naive, occurrences_naive, suffix_array_naive};
 use usi_suffix::{
     lcp_array, lcp_array_threads, lcp_intervals, sparse_suffix_array, suffix_array,
-    suffix_array_threads, FingerprintLce, LceOracle, NaiveLce, RmqLce, SuffixArraySearcher,
+    suffix_array_ints, suffix_array_threads, FingerprintLce, LceOracle, NaiveLce, RmqLce,
+    SuffixArraySearcher,
 };
 
 fn text_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..max_len)
 }
 
+/// For `shape` 1–5 a text of the same length as `text` that is unary,
+/// of period 2 or 3, non-increasing (no LMS position) or a prefix of
+/// the Fibonacci word (deep SA-IS recursion); `text` itself otherwise.
+fn shaped(text: Vec<u8>, shape: usize) -> Vec<u8> {
+    let len = text.len();
+    match shape {
+        1..=3 => b"abc"[..shape].iter().copied().cycle().take(len).collect(),
+        4 => {
+            let mut text = text;
+            text.sort_unstable_by(|a, b| b.cmp(a));
+            text
+        }
+        5 => {
+            let (mut word, mut next) = (b"a".to_vec(), b"ab".to_vec());
+            while word.len() < len {
+                (word, next) = (next.clone(), [next, word].concat());
+            }
+            word.truncate(len);
+            word
+        }
+        _ => text,
+    }
+}
+
 proptest! {
+    /// SA-IS against the naive sort. Half the cases keep the random
+    /// text; the shaped ones run the branches with no LMS position,
+    /// one, and deep recursion on every seed.
     #[test]
-    fn sais_matches_naive(text in text_strategy(300)) {
+    fn sais_matches_naive(text in text_strategy(300), shape in 0usize..10) {
+        let text = shaped(text, shape);
         prop_assert_eq!(suffix_array(&text), suffix_array_naive(&text));
+    }
+
+    /// The integer-alphabet entry point, which shares the byte path's
+    /// code: a permutation whose suffixes strictly increase.
+    #[test]
+    fn sais_ints_matches_sorted_suffixes(
+        sigma_pick in 0usize..4,
+        len in 0usize..300,
+        seed in any::<u64>(),
+    ) {
+        let sigma = [1u32, 2, 3, 1 << 16][sigma_pick];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let text: Vec<u32> = (0..len).map(|_| rng.gen_range(0..sigma)).collect();
+        let sa = suffix_array_ints(&text, sigma as usize);
+        prop_assert_eq!(sa.len(), len);
+        let mut seen = vec![false; len];
+        for &p in &sa {
+            prop_assert!((p as usize) < len && !seen[p as usize], "not a permutation: {:?}", sa);
+            seen[p as usize] = true;
+        }
+        for pair in sa.windows(2) {
+            prop_assert!(text[pair[0] as usize..] < text[pair[1] as usize..]);
+        }
     }
 
     #[test]

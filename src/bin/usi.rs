@@ -11,14 +11,14 @@
 //! usi tradeoff <text-file> [--points N]
 //! usi serve <dir-or-.usix>… [--addr HOST:PORT] [--workers N] [--shards N]
 //!           [--mmap] [--ingest-wal DIR] [--seal-threshold N]
-//!           [--compact-fanout F] [--segment-dir DIR] [--threads N] [--no-sync]
+//!           [--compact-fanout F] [--segment-dir DIR] [--no-sync]
 //!           [--slow-query-ms N] [--access-log off|text|json]
 //!           [--flight-slow-ms N] [--trace-capacity N]
 //!           [--max-connections N] [--idle-timeout-ms N]
 //!           [--repl-listen HOST:PORT] [--follow HOST:PORT | --follow-dir DIR]
 //!           [--shard HOST:PORT]… [--repl-poll-ms N]
 //! usi ingest <base.usix> --wal PATH [--seal-threshold N] [--compact-fanout F]
-//!           [--threads N] [--weight W] [--no-sync] [--mmap]
+//!           [--weight W] [--no-sync] [--mmap]
 //!           [--segment-dir DIR] [--json] [--replay [--query P]…]
 //! ```
 //!
@@ -137,14 +137,14 @@ impl Command {
             "tradeoff" => (cmd_tradeoff, "points", ""),
             "serve" => (
                 cmd_serve,
-                "addr workers shards ingest-wal seal-threshold compact-fanout threads \
-                 segment-dir slow-query-ms access-log flight-slow-ms trace-capacity \
+                "addr workers shards ingest-wal seal-threshold compact-fanout segment-dir \
+                 slow-query-ms access-log flight-slow-ms trace-capacity \
                  max-connections idle-timeout-ms repl-listen follow follow-dir shard repl-poll-ms",
                 "mmap no-sync",
             ),
             "ingest" => (
                 cmd_ingest,
-                "wal seal-threshold compact-fanout threads segment-dir weight query",
+                "wal seal-threshold compact-fanout segment-dir weight query",
                 "no-sync mmap json replay",
             ),
             _ => return None,
@@ -271,10 +271,9 @@ fn cmd_build(args: &Args) {
             .map(|s| s.parse().unwrap_or_else(|_| die("bad --seed")))
             .unwrap_or(0xbeef),
     );
-    // Parallel construction (phase (ii)'s length groups; the suffix and
-    // LCP arrays and phase (i)'s histogram selection are serial): output
-    // is byte-identical at any thread count (CI cmp-gates this), so
-    // --threads is purely a speed knob.
+    // --threads is accepted and ignored: construction is serial at every
+    // count, and the output is the same bytes at any count (CI
+    // cmp-gates this).
     if let Some(t) = args.flag("threads") {
         builder = builder.with_threads(t.parse().unwrap_or_else(|_| die("bad --threads")));
     }
@@ -373,9 +372,6 @@ fn ingest_config(args: &Args) -> IngestConfig {
     }
     if let Some(f) = args.flag("compact-fanout") {
         config.compact_fanout = f.parse().unwrap_or_else(|_| die("bad --compact-fanout"));
-    }
-    if let Some(t) = args.flag("threads") {
-        config.threads = t.parse().unwrap_or_else(|_| die("bad --threads"));
     }
     // segment-aware mmap: sealed/compacted segments are persisted here
     // and served through zero-copy storage views
@@ -486,7 +482,6 @@ fn cmd_serve(args: &Args) {
         let opts = IngestOptions {
             seal_threshold: config.seal_threshold,
             compact_fanout: config.compact_fanout,
-            threads: config.threads,
             seed: config.seed,
             segment_dir: None,
         };

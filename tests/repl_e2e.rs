@@ -88,7 +88,6 @@ fn follower_converges_to_byte_identical_answers_and_survives_the_primary() {
         IngestOptions {
             seal_threshold: config.seal_threshold,
             compact_fanout: config.compact_fanout,
-            threads: config.threads,
             seed: config.seed,
             segment_dir: None,
         },
