@@ -1,11 +1,10 @@
 //! Criterion micro-benchmarks for index construction (behind Fig. 6q–t)
-//! and its substrate phases (SA-IS, LCP, the Section-V oracle, and the
-//! histogram selection that phase (i) of `UsiBuilder` runs instead).
+//! and its substrate phases (SA-IS, the Φ LCP array, and phase (i): the
+//! Section-V oracle's histogram and its top-K listing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use usi_bench::experiments::methods::{build_method, Method};
 use usi_core::oracle::TopKOracle;
-use usi_core::TopKSelector;
 use usi_datasets::Dataset;
 use usi_suffix::{lcp_array, suffix_array};
 
@@ -35,16 +34,13 @@ fn bench_substrates(c: &mut Criterion) {
             b.iter(|| suffix_array(ws.text()))
         });
         let sa = suffix_array(ws.text());
-        group.bench_with_input(BenchmarkId::new("kasai_lcp", n), &(), |b, _| {
+        group.bench_with_input(BenchmarkId::new("lcp", n), &(), |b, _| {
             b.iter(|| lcp_array(ws.text(), &sa))
         });
         let lcp = lcp_array(ws.text(), &sa);
-        group.bench_with_input(BenchmarkId::new("topk_oracle", n), &(), |b, _| {
-            b.iter(|| TopKOracle::new(ws.len(), &sa, &lcp))
-        });
         let k = (n / 100).max(1);
-        group.bench_with_input(BenchmarkId::new("topk_select", n), &(), |b, _| {
-            b.iter(|| TopKSelector::new(&sa, &lcp).top_k(k))
+        group.bench_with_input(BenchmarkId::new("topk", n), &(), |b, _| {
+            b.iter(|| TopKOracle::new(n, &sa, &lcp).top_k(k))
         });
     }
     group.finish();

@@ -7,12 +7,12 @@
 //!
 //! The input is a ≥ 1 MiB DNA-like Markov text (the paper's HUM
 //! profile), with realistic repeat structure. `parallel_substrates`
-//! times the suffix array, the LCP array and phase (ii) alone, once
-//! each.
+//! times the suffix array, the LCP array, phase (i) and phase (ii)
+//! alone, once each.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::SeedableRng;
-use usi_core::{TopKSelector, UsiBuilder, UsiIndex};
+use usi_core::{TopKOracle, UsiBuilder, UsiIndex};
 use usi_datasets::Dataset;
 use usi_strings::{Fingerprinter, GlobalUtility};
 use usi_suffix::{lcp_array, suffix_array};
@@ -39,9 +39,12 @@ fn bench_substrate_parallelism(c: &mut Criterion) {
     group.bench_function("suffix_array/t1", |b| b.iter(|| suffix_array(text)));
     let sa = suffix_array(text);
     group.bench_function("lcp/t1", |b| b.iter(|| lcp_array(text, &sa)));
-    // Phase (ii) alone, over the triplets the builder's phase (i) lists.
+    // Phase (i) as a build runs it: the oracle's histogram, then the
+    // top-K listing.
     let lcp = lcp_array(text, &sa);
-    let items = TopKSelector::new(&sa, &lcp).top_k(K);
+    group.bench_function("topk/t1", |b| b.iter(|| TopKOracle::new(N, &sa, &lcp).top_k(K)));
+    // Phase (ii) alone, over the triplets phase (i) lists.
+    let items = TopKOracle::new(N, &sa, &lcp).top_k(K);
     let psw = GlobalUtility::sum_of_sums().local_index(ws.weights());
     let fingerprinter = Fingerprinter::new(&mut rand::rngs::StdRng::seed_from_u64(3));
     group.bench_function("populate/t1", |b| {

@@ -7,12 +7,15 @@ use usi_bench::experiments::methods::{build_method, Method};
 use usi_core::oracle::TopKOracle;
 use usi_core::{QuerySource, UsiBuilder};
 use usi_datasets::{w1, Dataset};
+use usi_suffix::{lcp_array, suffix_array};
 
 fn bench_methods_on_w1(c: &mut Criterion) {
     let ds = Dataset::Xml;
     let ws = ds.generate(60_000, 7);
     let k = 600;
-    let (oracle, sa) = TopKOracle::from_text(ws.text());
+    let sa = suffix_array(ws.text());
+    let lcp = lcp_array(ws.text(), &sa);
+    let oracle = TopKOracle::new(ws.len(), &sa, &lcp);
     let workload = w1(ws.text(), &oracle, &sa, 2_000, 50, (1, 500), 9);
 
     let mut group = c.benchmark_group("query_w1_fig6");

@@ -7,10 +7,13 @@ use crate::report::{fmt_bytes, fmt_duration, Report};
 use usi_core::oracle::TopKOracle;
 use usi_datasets::{w1, w2p, Dataset, Workload};
 use usi_strings::WeightedString;
+use usi_suffix::{lcp_array, suffix_array};
 
 /// Builds the `W1` workload for a dataset instance.
 fn w1_for(ctx: &ExperimentContext, ds: Dataset, ws: &WeightedString) -> Workload {
-    let (oracle, sa) = TopKOracle::from_text(ws.text());
+    let sa = suffix_array(ws.text());
+    let lcp = lcp_array(ws.text(), &sa);
+    let oracle = TopKOracle::new(ws.len(), &sa, &lcp);
     let denom = if ds == Dataset::Ecoli { 60 } else { 50 };
     w1(
         ws.text(),
@@ -60,7 +63,9 @@ pub fn query_vs_p(ctx: &ExperimentContext) -> Vec<Report> {
         let n = ws.len();
         let k = ctx.default_k(ds, n);
         let s = ctx.default_s(ds);
-        let (oracle, sa) = TopKOracle::from_text(ws.text());
+        let sa = suffix_array(ws.text());
+        let lcp = lcp_array(ws.text(), &sa);
+        let oracle = TopKOracle::new(n, &sa, &lcp);
         let denom = if ds == Dataset::Ecoli { 60 } else { 50 };
         for p in [20usize, 40, 60, 80] {
             let workload = w2p(

@@ -9,6 +9,7 @@ use usi_core::UsiBuilder;
 use usi_datasets::Dataset;
 use usi_strings::text::display_bytes;
 use usi_strings::Alphabet;
+use usi_suffix::{lcp_array, suffix_array};
 
 /// Cap on the number of distinct substrings enumerated for the case
 /// study (the real ADV has 187,883 of length 3..=200; synthetic
@@ -24,21 +25,14 @@ pub fn table1(ctx: &ExperimentContext) -> Vec<Report> {
     let n = ws.len();
     let k = ctx.default_k(ds, n);
     let index = UsiBuilder::new().with_k(k).deterministic(ctx.seed).build(ws.clone());
-    let (oracle, sa) = TopKOracle::from_text(ws.text());
+    let sa = suffix_array(ws.text());
+    let lcp = lcp_array(ws.text(), &sa);
+    let oracle = TopKOracle::new(n, &sa, &lcp);
 
-    // Enumerate distinct substrings with length in [3, 200] as
-    // (witness, len) pairs straight off the oracle entries.
-    let mut patterns: Vec<(u32, u32)> = Vec::new();
-    'outer: for e in oracle.entries() {
-        let lo = (e.parent_depth + 1).max(3);
-        let hi = e.depth.min(200);
-        for len in lo..=hi {
-            if patterns.len() >= MAX_PATTERNS {
-                break 'outer;
-            }
-            patterns.push((sa[e.lb as usize], len));
-        }
-    }
+    // Enumerate the most frequent distinct substrings with length in
+    // [3, 200] as (witness, len) pairs.
+    let patterns: Vec<(u32, u32)> =
+        oracle.top_k_in(MAX_PATTERNS, 3..=200).map(|s| (sa[s.lb as usize], s.len)).collect();
 
     // Query them all, timing the whole batch (the paper's 3.4 s for
     // 187,883 patterns) and remembering every utility for rank lookups.
@@ -79,26 +73,17 @@ pub fn table1(ctx: &ExperimentContext) -> Vec<Report> {
         "Top-4 frequent substrings (length ≥ 3) and their utility ranks (Table Ib)",
         &["substring", "len", "freq", "utility", "utility rank"],
     );
-    let mut emitted = 0;
-    'freq: for e in oracle.entries() {
-        let lo = (e.parent_depth + 1).max(3);
-        for len in lo..=e.depth {
-            if emitted == 4 {
-                break 'freq;
-            }
-            let pos = sa[e.lb as usize];
-            let pat = &ws.text()[pos as usize..pos as usize + len as usize];
-            let q = index.query(pat);
-            let u = q.value.unwrap_or(0.0);
-            table_b.rowf(&[
-                &display_bytes(&pat[..pat.len().min(24)]),
-                &len,
-                &q.occurrences,
-                &format!("{u:.1}"),
-                &rank_of(u),
-            ]);
-            emitted += 1;
-        }
+    for s in oracle.top_k_in(4, 3..=u32::MAX) {
+        let pat = s.bytes(ws.text(), &sa);
+        let q = index.query(pat);
+        let u = q.value.unwrap_or(0.0);
+        table_b.rowf(&[
+            &display_bytes(&pat[..pat.len().min(24)]),
+            &s.len,
+            &q.occurrences,
+            &format!("{u:.1}"),
+            &rank_of(u),
+        ]);
     }
 
     let mut summary = Report::new(
@@ -127,7 +112,9 @@ pub fn table2(ctx: &ExperimentContext) -> Vec<Report> {
         let sigma = Alphabet::from_text(ws.text()).sigma();
         let k = ctx.default_k(ds, n);
         let s = ctx.default_s(ds);
-        let (oracle, _) = TopKOracle::from_text(ws.text());
+        let sa = suffix_array(ws.text());
+        let lcp = lcp_array(ws.text(), &sa);
+        let oracle = TopKOracle::new(n, &sa, &lcp);
         let tune = oracle.tune_for_k(k as u64).expect("non-empty dataset");
         report.rowf(&[
             &ds.spec().name,

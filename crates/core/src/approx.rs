@@ -22,9 +22,7 @@ use crate::oracle::TopKOracle;
 use crate::topk::TopKEstimate;
 use usi_strings::{Fingerprinter, HeapSize};
 use usi_suffix::sparse::arithmetic_sample;
-use usi_suffix::{
-    lcp_intervals, sparse_suffix_array, FingerprintLce, LceBackend, LceOracle, NaiveLce, RmqLce,
-};
+use usi_suffix::{sparse_suffix_array, FingerprintLce, LceBackend, LceOracle, NaiveLce, RmqLce};
 
 /// Configuration for [`approximate_top_k`].
 #[derive(Debug, Clone)]
@@ -59,9 +57,9 @@ pub struct ApproxResult {
     /// The estimated top-K substrings, sorted by estimated frequency
     /// descending (ties: shorter first, then smaller witness).
     pub items: Vec<TopKEstimate>,
-    /// Peak bytes of the sampler's own working state (sparse arrays,
-    /// per-round node lists, merge buffers) — the quantity the paper's
-    /// Fig. 5 space plots track for AT.
+    /// Peak bytes of the sampler's own working state (sparse arrays, the
+    /// round oracle's histogram and the nodes it keeps, merge buffers) —
+    /// the quantity the paper's Fig. 5 space plots track for AT.
     pub peak_tracked_bytes: usize,
     /// Number of rounds actually executed.
     pub rounds: usize,
@@ -118,9 +116,7 @@ pub fn approximate_top_k(text: &[u8], cfg: &ApproxConfig) -> ApproxResult {
         let idx = sparse_suffix_array(text, sample, &oracle);
 
         // Step 3: top-K of the sample via the lcp-interval traversal.
-        let nodes = lcp_intervals(&idx.slcp, |i| (n - idx.ssa[i] as usize) as u32, true);
-        let nodes_bytes = nodes.capacity() * std::mem::size_of::<usi_suffix::LcpInterval>();
-        let round_oracle = TopKOracle::from_nodes(nodes, idx.len());
+        let round_oracle = TopKOracle::new(n, &idx.ssa, &idx.slcp);
         let round_items: Vec<TopKEstimate> = round_oracle
             .top_k(cfg.k)
             .into_iter()
@@ -133,7 +129,6 @@ pub fn approximate_top_k(text: &[u8], cfg: &ApproxConfig) -> ApproxResult {
 
         peak = peak.max(
             idx.heap_bytes()
-                + nodes_bytes
                 + round_oracle.heap_bytes()
                 + (acc.len() + round_items.len()) * 2 * std::mem::size_of::<TopKEstimate>(),
         );

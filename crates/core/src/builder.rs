@@ -4,14 +4,14 @@
 //! exact top-K mining (`UET` in the paper's experiments) or the
 //! space-efficient Section-VI sampler (`UAT`), and resolves the space /
 //! query-time trade-off from a user-supplied `K` or `τ`. Exact mining and
-//! `τ` resolution read a frequency histogram of the suffix-tree nodes
-//! ([`TopKSelector`]) instead of building the whole Section-V oracle: it
-//! yields the oracle's `τ_K`, `K_τ` and top-K triplets, in the oracle's
-//! order, from one LCP sweep plus a sort of the nodes that reach `τ_K`.
+//! `τ` resolution read the Section-V oracle ([`TopKOracle`]), a
+//! frequency histogram of the suffix-tree nodes: `K_τ` is a scan of it,
+//! and the top-K triplets take one more LCP sweep plus a sort of the
+//! nodes that reach `τ_K`.
 
 use crate::approx::{approximate_top_k, ApproxConfig};
 use crate::index::{BuildStats, UsiIndex};
-use crate::select::TopKSelector;
+use crate::oracle::TopKOracle;
 use crate::topk::TopKEstimate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,8 +127,7 @@ impl UsiBuilder {
     /// A no-op kept for callers that still pass a thread count. Every
     /// construction step (SA-IS, the Φ LCP array, phase (i)'s histogram
     /// selection and phase (ii)'s text-order pass) is serial, so a build
-    /// starts no thread and writes the same bytes at any count; the CI
-    /// determinism gate `cmp`s `usi build --threads 1` and `--threads 4`.
+    /// starts no thread and writes the same bytes at any count.
     pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
@@ -157,20 +156,19 @@ impl UsiBuilder {
         let need_histogram =
             matches!(self.strategy, TopKStrategy::Exact) || matches!(self.size, SizeParam::Tau(_));
         let lcp = need_histogram.then(|| lcp_array(ws.text(), &sa));
-        let selector = lcp.as_deref().map(|lcp| TopKSelector::new(&sa, lcp));
+        let oracle = lcp.as_deref().map(|lcp| TopKOracle::new(n, &sa, lcp));
         let k = match self.size {
             SizeParam::K(k) => k,
             SizeParam::Default => (n / 100).max(1),
             SizeParam::Tau(tau) => {
-                selector.as_ref().expect("histogram built for tau resolution").k_for_tau(tau)
-                    as usize
+                oracle.as_ref().expect("histogram built for tau resolution").k_for_tau(tau) as usize
             }
         };
         let mut stats = BuildStats { n, k_requested: k, ..BuildStats::default() };
         let mined = match self.strategy {
             TopKStrategy::Exact => {
-                let selector = selector.as_ref().expect("histogram built for the exact strategy");
-                let items = selector.top_k(k);
+                let oracle = oracle.as_ref().expect("histogram built for the exact strategy");
+                let items = oracle.top_k(k);
                 stats.tau = items.iter().map(|s| s.freq()).min();
                 Mined::Triplets(items)
             }
@@ -186,7 +184,7 @@ impl UsiBuilder {
                 Mined::Estimates(res.items)
             }
         };
-        drop(selector);
+        drop(oracle);
         drop(lcp);
         stats.phase_topk = t1.elapsed();
 

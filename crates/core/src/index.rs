@@ -14,9 +14,8 @@
 //! Construction phases (mirroring the paper):
 //!
 //! 1. **Phase (i)** — obtain the top-K frequent substrings (exact, from
-//!    the frequency histogram of [`crate::select`], which lists the
-//!    Section-V oracle's triplets, or the Section-VI sampler); done by
-//!    [`crate::builder`].
+//!    the Section-V oracle's frequency histogram, [`crate::oracle`], or
+//!    the Section-VI sampler); done by [`crate::builder`].
 //! 2. **Phase (ii)** — sum each substring's local utilities over its
 //!    occurrences. For exact triplets this is one pass in text order:
 //!    the SA intervals nest like suffix-tree nodes, so the top-K

@@ -14,10 +14,9 @@
 //! Module map:
 //!
 //! * [`topk`] — shared top-K substring representations;
-//! * [`oracle`] — the linear-space data structure of Section V (arrays
-//!   `T`, `Q`, `L`) powering Exact-Top-K and parameter tuning;
-//! * [`select`] — phase (i) of the construction: the oracle's `τ_K`,
-//!   `K_τ` and top-K triplets from a frequency histogram, without `T`;
+//! * [`oracle`] — the linear-space data structure of Section V, `Q`
+//!   indexed by frequency: Exact-Top-K (phase (i) of every exact build)
+//!   and parameter tuning;
 //! * [`approx`] — the space-efficient Approximate-Top-K sampler of
 //!   Section VI;
 //! * [`index`] / [`builder`] — the `USI_TOP-K` data structure of
@@ -42,7 +41,6 @@ pub mod merge;
 pub mod metrics;
 pub mod oracle;
 pub mod persist;
-pub mod select;
 pub mod storage;
 pub mod topk;
 
@@ -51,8 +49,7 @@ pub use builder::{TopKStrategy, UsiBuilder};
 pub use engine::QueryEngine;
 pub use index::{BuildStats, QuerySource, UsiIndex, UsiQuery};
 pub use merge::{merge_accumulators, merged_total};
-pub use oracle::{exact_top_k, TopKOracle, TradeoffPoint, TuneForK, TuneForTau};
+pub use oracle::{exact_top_k, TopKOracle, TradeoffPoint};
 pub use persist::{open_mmap, PersistError};
-pub use select::TopKSelector;
 pub use storage::{IndexStorage, SaRef, WeightsRef};
 pub use topk::{SubstringRef, TopKEstimate, TopKSubstring};

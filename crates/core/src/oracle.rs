@@ -3,241 +3,259 @@
 //! One structure serves three tasks:
 //!
 //! * **Task (i)** — list the top-K frequent substrings as `⟨lcp, lb, rb⟩`
-//!   triplets (`Exact-Top-K`, Theorem 2: `O(n + K)` after construction);
+//!   triplets (`Exact-Top-K`, Theorem 2);
 //! * **Task (ii)** — given `K`, report `τ_K` (minimum top-K frequency —
 //!   the query-time bound of `USI_TOP-K`) and `L_K` (number of distinct
 //!   top-K lengths — the construction-time factor);
 //! * **Task (iii)** — given `τ`, report `K_τ` (number of `τ`-frequent
 //!   substrings — the space bound) and `L_τ`.
 //!
-//! The structure is the array `T` of suffix-tree node triplets
-//! `⟨v, f(v), q(v)⟩` sorted by decreasing frequency (ties: shorter string
-//! depth first), with two parallel prefix arrays: `Q` (cumulative distinct
-//! substring counts) and `L` (cumulative distinct lengths). Because every
-//! node's ancestors have strictly larger frequency and therefore precede
-//! it in `T`, the lengths covered by a prefix of `T` are exactly
-//! `1 ..= max string depth`, so `L` is the running maximum of depths —
-//! the paper's counter `c` / maximum `M` bookkeeping.
+//! The paper's structure is the array `T` of suffix-tree nodes sorted by
+//! decreasing frequency (ties: shorter string depth first), with the
+//! prefix arrays `Q` (distinct substrings covered) and `L` (distinct
+//! lengths covered). [`TopKOracle`] keeps `Q` indexed by frequency
+//! instead: one bottom-up sweep over the lcp-intervals of the LCP array
+//! (Abouelhoda, Kurtz and Ohlebusch, JDA 2004; [`visit_lcp_intervals`])
+//! adds each node's `q(v)` at its frequency `f(v)`, 8 bytes per suffix
+//! next to the borrowed suffix and LCP arrays. Every task reads that
+//! histogram plus at most one more sweep:
 //!
-//! Index construction does not build this structure: phase (i) needs
-//! only `τ_K` and the nodes that reach it, which
-//! [`TopKSelector`](crate::select::TopKSelector) reads from a frequency
-//! histogram, listing the same triplets in the same order. The oracle
-//! serves what needs all of `T`: `usi topk`, `usi tradeoff`, the `W1`
-//! workloads, the Approximate-Top-K rounds and the experiments.
+//! * `τ_K` and `K_τ` are scans of the histogram;
+//! * Task (i) keeps the nodes whose frequency reaches `τ_K` and sorts
+//!   them stably by (frequency desc, depth asc): the prefix of `T` that
+//!   the listing reads, ties included;
+//! * a node's ancestors are strictly more frequent, so a prefix of `T`
+//!   covers exactly the lengths `1 ..= max depth`: `L_τ` is the depth of
+//!   the deepest node with frequency ≥ `τ`.
+//!
+//! So Tasks (ii) and (iii) cost `O(n)` per call where the sorted arrays
+//! answered in `O(log n)`. Index construction asks for one `K` or `τ`,
+//! and the CLI, the examples and the experiments for a few points each;
+//! [`TopKOracle::tradeoff_curve`] gives every point in one sweep.
 
-use crate::topk::{list_top_k, TopKSubstring};
+use crate::topk::TopKSubstring;
+use std::cell::Cell;
+use std::cmp::{Ordering, Reverse};
+use std::ops::RangeInclusive;
 use usi_strings::HeapSize;
-use usi_suffix::{lcp_array, lcp_intervals, suffix_array, LcpInterval};
+use usi_suffix::{lcp_array, suffix_array, visit_lcp_intervals, LcpInterval};
 
-/// One entry of the array `T`: an explicit suffix-tree node with its
-/// frequency, string depth, parent string depth and SA interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OracleEntry {
-    /// Frequency `f(v)` = size of the SA interval.
-    pub freq: u32,
-    /// String depth `sd(v)`.
-    pub depth: u32,
-    /// String depth of the parent, so `q(v) = depth − parent_depth`.
-    pub parent_depth: u32,
-    /// SA interval left boundary (inclusive).
-    pub lb: u32,
-    /// SA interval right boundary (inclusive).
-    pub rb: u32,
+/// Every substring length: Task (i) over the whole text.
+const ALL_LENGTHS: RangeInclusive<u32> = 1..=u32::MAX;
+
+/// The Section-V oracle over a suffix array and its LCP array: `Q`
+/// indexed by frequency.
+#[derive(Debug)]
+pub struct TopKOracle<'a> {
+    text_len: usize,
+    sa: &'a [u32],
+    lcp: &'a [u32],
+    /// `q_by_freq[f]`: the number of distinct substrings that occur
+    /// exactly `f` times (`Σ q(v)` over the nodes with `f(v) = f`).
+    q_by_freq: Vec<u64>,
+    /// The largest node list a task has kept, for [`HeapSize`].
+    kept_bytes: Cell<usize>,
 }
 
-impl OracleEntry {
-    /// Edge letter count `q(v)`: distinct substrings this entry holds.
-    #[inline]
-    pub fn q(&self) -> u32 {
-        self.depth - self.parent_depth
-    }
-}
-
-/// Result of Task (ii): parameters implied by a choice of `K`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuneForK {
-    /// `τ_K`: smallest frequency among the top-K substrings. Queries run
-    /// in `O(m + τ_K)`.
-    pub tau: u32,
-    /// `L_K`: number of distinct lengths among the top-K substrings.
-    /// Phase (ii) costs at most `O(n · L_K)`; from the SA intervals it
-    /// pays `O(n/64 + occ)` per length.
-    pub distinct_lengths: u32,
-}
-
-/// Result of Task (iii): parameters implied by a choice of `τ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuneForTau {
-    /// `K_τ`: number of substrings with frequency ≥ τ. The hash table
-    /// stores `K_τ` entries.
-    pub k: u64,
-    /// `L_τ`: number of distinct lengths among those substrings.
-    pub distinct_lengths: u32,
-}
-
-/// The Section-V data structure: `T`, `Q` and `L`.
-#[derive(Debug, Clone)]
-pub struct TopKOracle {
-    /// `T`: nodes sorted by (frequency desc, string depth asc).
-    entries: Vec<OracleEntry>,
-    /// `Q[i]`: Σ q(v) over `entries[..=i]`.
-    cum_q: Vec<u64>,
-    /// `L[i]`: distinct lengths covered by `entries[..=i]` (running max depth).
-    cum_l: Vec<u32>,
-}
-
-impl TopKOracle {
-    /// Builds the oracle from a text's suffix and LCP arrays. `O(n)`.
-    pub fn new(text_len: usize, sa: &[u32], lcp: &[u32]) -> Self {
-        let nodes = lcp_intervals(lcp, |i| (text_len - sa[i] as usize) as u32, true);
-        Self::from_nodes(nodes, text_len)
+impl<'a> TopKOracle<'a> {
+    /// Sweeps the suffix-tree nodes into the frequency histogram, given a
+    /// suffix array and the LCP array over it. The suffix ranked `i` is
+    /// `text_len − sa[i]` letters long, so an Approximate-Top-K round
+    /// passes its sparse arrays with the length of the whole text.
+    /// `O(n)` time and `8(n + 1)` bytes for `n` suffixes.
+    pub fn new(text_len: usize, sa: &'a [u32], lcp: &'a [u32]) -> Self {
+        assert_eq!(sa.len(), lcp.len(), "a suffix array and the LCP array over it");
+        let mut oracle =
+            Self { text_len, sa, lcp, q_by_freq: Vec::new(), kept_bytes: Cell::new(0) };
+        oracle.q_by_freq = oracle.histogram(&ALL_LENGTHS);
+        oracle
     }
 
     /// [`TopKOracle::new`], whatever `threads` is: construction is serial.
     /// Kept for callers that still pass a thread count.
-    pub fn new_threads(text_len: usize, sa: &[u32], lcp: &[u32], _threads: usize) -> Self {
+    pub fn new_threads(text_len: usize, sa: &'a [u32], lcp: &'a [u32], _threads: usize) -> Self {
         Self::new(text_len, sa, lcp)
-    }
-
-    /// Builds SA and LCP internally, then the oracle.
-    pub fn from_text(text: &[u8]) -> (Self, Vec<u32>) {
-        let sa = suffix_array(text);
-        let lcp = lcp_array(text, &sa);
-        let oracle = Self::new(text.len(), &sa, &lcp);
-        (oracle, sa)
-    }
-
-    /// Builds from pre-enumerated suffix-tree nodes (shared with the
-    /// sparse per-round accounting of Approximate-Top-K). `max_freq`
-    /// bounds frequencies for the radix sort (`n` for a full text).
-    pub fn from_nodes(mut nodes: Vec<LcpInterval>, max_freq: usize) -> Self {
-        radix_sort_nodes(&mut nodes, max_freq);
-        let entries: Vec<OracleEntry> = nodes
-            .iter()
-            .map(|n| OracleEntry {
-                freq: n.freq(),
-                depth: n.depth,
-                parent_depth: n.parent_depth,
-                lb: n.lb,
-                rb: n.rb,
-            })
-            .collect();
-        let mut cum_q = Vec::with_capacity(entries.len());
-        let mut cum_l = Vec::with_capacity(entries.len());
-        let mut q_acc = 0u64;
-        let mut max_depth = 0u32;
-        for e in &entries {
-            q_acc += e.q() as u64;
-            max_depth = max_depth.max(e.depth);
-            cum_q.push(q_acc);
-            cum_l.push(max_depth);
-        }
-        Self { entries, cum_q, cum_l }
-    }
-
-    /// The sorted node array `T`.
-    pub fn entries(&self) -> &[OracleEntry] {
-        &self.entries
     }
 
     /// Total number of distinct substrings of the text.
     pub fn total_distinct_substrings(&self) -> u64 {
-        self.cum_q.last().copied().unwrap_or(0)
+        self.q_by_freq.iter().sum()
     }
 
     /// **Task (i)**: the top-`k` frequent substrings as SA-interval
-    /// triplets, ties broken by shorter length first. `O(k)` after the
-    /// `O(n)` construction (Theorem 2). Returns fewer than `k` items only
-    /// when the text has fewer distinct substrings.
+    /// triplets, ties broken by shorter length first. `O(n + k)`
+    /// (Theorem 2): one more sweep keeps the nodes that reach `τ_K`, and
+    /// only those are sorted. Returns fewer than `k` items only when the
+    /// text has fewer distinct substrings.
     pub fn top_k(&self, k: usize) -> Vec<TopKSubstring> {
-        let nodes = self.entries.iter().map(|e| LcpInterval {
-            depth: e.depth,
-            parent_depth: e.parent_depth,
-            lb: e.lb,
-            rb: e.rb,
-        });
-        list_top_k(nodes, k)
+        self.top_k_in(k, ALL_LENGTHS).collect()
     }
 
-    /// **Task (ii)**: `(τ_K, L_K)` for a given `K`, by binary search in
-    /// `Q`. `O(log n)`. `K` is clamped to the number of distinct
-    /// substrings; `K = 0` or an empty text yields `None`.
-    pub fn tune_for_k(&self, k: u64) -> Option<TuneForK> {
-        if k == 0 || self.entries.is_empty() {
-            return None;
+    /// Task (i) over the substrings with a length in `lengths`, listed
+    /// lazily: the first `k` items of [`TopKOracle::top_k`]'s order that
+    /// fall in the window, `τ_K` counted over the window alone. A window
+    /// holding every length reads the oracle's histogram; any other
+    /// counts its own, one more sweep and `8(n + 1)` bytes.
+    pub fn top_k_in(
+        &self,
+        k: usize,
+        lengths: RangeInclusive<u32>,
+    ) -> impl Iterator<Item = TopKSubstring> {
+        let windowed;
+        let q_by_freq = if *lengths.start() <= 1 && *lengths.end() as usize >= self.text_len {
+            &self.q_by_freq
+        } else {
+            windowed = self.histogram(&lengths);
+            &windowed
+        };
+        let mut nodes = Vec::new();
+        if let Some(tau) = tau_for_k(q_by_freq, k as u64) {
+            self.sweep(tau == 1, |node| {
+                if node.freq() >= tau && count_in(&node, &lengths) > 0 {
+                    nodes.push(node);
+                }
+            });
+            nodes.sort_by_key(|node| (Reverse(node.freq()), node.depth));
+            self.keep(nodes.heap_bytes());
         }
+        let (lo, hi) = lengths.into_inner();
+        nodes
+            .into_iter()
+            .flat_map(move |node| {
+                let (lb, rb) = (node.lb, node.rb);
+                ((node.parent_depth + 1).max(lo)..=node.depth.min(hi))
+                    .map(move |len| TopKSubstring { len, lb, rb })
+            })
+            .take(k)
+    }
+
+    /// **Task (ii)**: `τ_K` and `L_K` for a given `K`, with `K` clamped to
+    /// the number of distinct substrings; `K = 0` or an empty text yields
+    /// `None`. `O(n)`: `τ_K` comes from the histogram, and one sweep
+    /// finds the deepest node above `τ_K` and lists the nodes at `τ_K`.
+    pub fn tune_for_k(&self, k: u64) -> Option<TradeoffPoint> {
+        let tau = tau_for_k(&self.q_by_freq, k)?;
         let k = k.min(self.total_distinct_substrings());
-        // smallest i with Q[i] ≥ k
-        let i = self.cum_q.partition_point(|&q| q < k);
-        // The paper reports L[i]; when K cuts entry i mid-edge that is an
-        // upper bound. Since Task (i) lists shorter edge lengths first and
-        // ancestors (covering lengths 1..=parent_depth) precede entry i,
-        // the exact distinct-length count of the listed set is
-        // max(L[i−1], parent_depth + consumed).
-        let (prev_q, prev_l) = if i == 0 { (0, 0) } else { (self.cum_q[i - 1], self.cum_l[i - 1]) };
-        let consumed = (k - prev_q) as u32;
-        let e = &self.entries[i];
-        Some(TuneForK { tau: e.freq, distinct_lengths: prev_l.max(e.parent_depth + consumed) })
+        let mut distinct_lengths = 0;
+        let mut cut = Vec::new();
+        self.sweep(tau == 1, |node| match node.freq().cmp(&tau) {
+            Ordering::Greater => distinct_lengths = distinct_lengths.max(node.depth),
+            Ordering::Equal => cut.push(node),
+            Ordering::Less => {}
+        });
+        cut.sort_by_key(|node| node.depth);
+        self.keep(cut.heap_bytes());
+        // `K` cuts the class at τ_K partway. Task (i) lists its nodes in
+        // depth order, each node's shorter lengths first, and a node's
+        // ancestors (lengths 1..=parent_depth) before it: a node cut after
+        // `taken` substrings covers the lengths up to parent_depth + taken.
+        let mut left = k - self.k_for_tau(tau + 1);
+        for node in cut {
+            if left == 0 {
+                break;
+            }
+            let taken = left.min(node.q() as u64);
+            distinct_lengths = distinct_lengths.max(node.parent_depth + taken as u32);
+            left -= taken;
+        }
+        Some(TradeoffPoint { tau, k, distinct_lengths })
     }
 
-    /// **Task (iii)**: `(K_τ, L_τ)` for a given `τ`, by binary search in
-    /// the frequencies of `T`. `O(log n)`. A `τ` above the maximum
-    /// frequency yields `K_τ = 0`.
-    pub fn tune_for_tau(&self, tau: u32) -> TuneForTau {
-        // entries are sorted by freq desc: find the largest i with freq ≥ τ
-        let end = self.entries.partition_point(|e| e.freq >= tau);
-        if end == 0 {
-            return TuneForTau { k: 0, distinct_lengths: 0 };
-        }
-        TuneForTau { k: self.cum_q[end - 1], distinct_lengths: self.cum_l[end - 1] }
+    /// **Task (iii)**: `K_τ` and `L_τ` for a given `τ`. A `τ` above the
+    /// maximum frequency yields `K_τ = 0`. `O(n)`: `K_τ` comes from the
+    /// histogram, `L_τ` from one sweep.
+    pub fn tune_for_tau(&self, tau: u32) -> TradeoffPoint {
+        let mut distinct_lengths = 0;
+        self.sweep(tau <= 1, |node| {
+            if node.freq() >= tau {
+                distinct_lengths = distinct_lengths.max(node.depth);
+            }
+        });
+        TradeoffPoint { tau, k: self.k_for_tau(tau), distinct_lengths }
     }
 
     /// The complete space/time trade-off curve (the paper's Section-X
     /// suggestion: "produce a large number of (K, τ) values efficiently
     /// … to select a good trade-off" with a skyline operator).
     ///
-    /// Returns one point per *distinct frequency* in `T` — the only
-    /// places the trade-off changes: caching `K_τ` substrings yields
-    /// query bound `τ` and construction factor `L_τ`. Points are emitted
-    /// in decreasing-`τ` (increasing-`K`) order and form a Pareto
-    /// frontier by construction: `K` strictly grows while `τ` strictly
-    /// falls. `O(n)` time.
+    /// Returns one point per *distinct frequency* — the only places the
+    /// trade-off changes: caching `K_τ` substrings yields query bound `τ`
+    /// and construction factor `L_τ`. Points are emitted in
+    /// decreasing-`τ` (increasing-`K`) order and form a Pareto frontier
+    /// by construction: `K` strictly grows while `τ` strictly falls.
+    /// `O(n)` time: one sweep for the deepest node of each frequency,
+    /// then one scan of the histogram.
     pub fn tradeoff_curve(&self) -> Vec<TradeoffPoint> {
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < self.entries.len() {
-            let freq = self.entries[i].freq;
-            // advance to the last entry with this frequency
-            let mut j = i;
-            while j + 1 < self.entries.len() && self.entries[j + 1].freq == freq {
-                j += 1;
+        let mut deepest = vec![0u32; self.q_by_freq.len()];
+        self.sweep(true, |node| {
+            let depth = &mut deepest[node.freq() as usize];
+            *depth = (*depth).max(node.depth);
+        });
+        let (mut k, mut distinct_lengths) = (0, 0);
+        let mut curve = Vec::new();
+        for (freq, (&q, &depth)) in self.q_by_freq.iter().zip(&deepest).enumerate().rev() {
+            if q > 0 {
+                k += q;
+                distinct_lengths = distinct_lengths.max(depth);
+                curve.push(TradeoffPoint { tau: freq as u32, k, distinct_lengths });
             }
-            out.push(TradeoffPoint {
-                tau: freq,
-                k: self.cum_q[j],
-                distinct_lengths: self.cum_l[j],
-            });
-            i = j + 1;
         }
-        out
+        curve
     }
 
-    /// Picks the trade-off point that minimises a weighted cost
-    /// `query_weight · τ + space_weight · K` over the skyline, modelling
-    /// the simplest "good trade-off" selection on top of
-    /// [`TopKOracle::tradeoff_curve`]. Returns `None` on an empty text.
-    pub fn select_tradeoff(&self, query_weight: f64, space_weight: f64) -> Option<TradeoffPoint> {
-        self.tradeoff_curve().into_iter().min_by(|a, b| {
-            let cost = |p: &TradeoffPoint| query_weight * p.tau as f64 + space_weight * p.k as f64;
-            cost(a).total_cmp(&cost(b))
-        })
+    /// `K_τ` alone, from the histogram: what a `with_tau(τ)` build caches.
+    pub(crate) fn k_for_tau(&self, tau: u32) -> u64 {
+        self.q_by_freq.iter().skip(tau as usize).sum()
+    }
+
+    /// Distinct-substring counts by frequency, over the lengths in
+    /// `lengths`.
+    fn histogram(&self, lengths: &RangeInclusive<u32>) -> Vec<u64> {
+        let mut q_by_freq = vec![0u64; self.sa.len() + 1];
+        self.sweep(true, |node| q_by_freq[node.freq() as usize] += count_in(&node, lengths) as u64);
+        q_by_freq
+    }
+
+    /// Visits the suffix-tree nodes in [`visit_lcp_intervals`]' order;
+    /// the leaves only when `leaves`.
+    fn sweep(&self, leaves: bool, visit: impl FnMut(LcpInterval)) {
+        let suffix_len = |i: usize| (self.text_len - self.sa[i] as usize) as u32;
+        visit_lcp_intervals(self.lcp, suffix_len, leaves, visit);
+    }
+
+    fn keep(&self, bytes: usize) {
+        self.kept_bytes.set(self.kept_bytes.get().max(bytes));
     }
 }
 
-/// One point of the `(K, τ)` trade-off curve: caching the `k` most
-/// frequent substrings yields query bound `O(m + τ)` and construction
-/// factor `L_K = distinct_lengths`.
+/// The smallest frequency among the top-`k` substrings that `q_by_freq`
+/// counts, with `k` clamped to their number; `k = 0` or no substrings
+/// yields `None`.
+fn tau_for_k(q_by_freq: &[u64], k: u64) -> Option<u32> {
+    if k == 0 {
+        return None;
+    }
+    let mut listed = 0u64;
+    for (freq, &q) in q_by_freq.iter().enumerate().rev() {
+        listed += q;
+        if listed >= k {
+            return Some(freq as u32);
+        }
+    }
+    // fewer than k substrings: all of them, down to the once-occurring
+    (listed > 0).then_some(1)
+}
+
+/// How many of `node`'s substrings, of lengths
+/// `parent_depth + 1 ..= depth`, have a length in `lengths`.
+fn count_in(node: &LcpInterval, lengths: &RangeInclusive<u32>) -> u32 {
+    let below = node.parent_depth.max(lengths.start().saturating_sub(1));
+    node.depth.min(*lengths.end()).saturating_sub(below)
+}
+
+/// One point of the `(K, τ)` trade-off, and the answer to Tasks (ii) and
+/// (iii): caching the `k` most frequent substrings yields query bound
+/// `O(m + τ)` and construction factor `L_K = distinct_lengths`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TradeoffPoint {
     /// Query-time bound `τ` (max fallback occurrences).
@@ -248,53 +266,11 @@ pub struct TradeoffPoint {
     pub distinct_lengths: u32,
 }
 
-impl HeapSize for TopKOracle {
+impl HeapSize for TopKOracle<'_> {
+    /// The histogram plus the largest node list a task has kept, without
+    /// the borrowed suffix and LCP arrays.
     fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<OracleEntry>()
-            + self.cum_q.heap_bytes()
-            + self.cum_l.heap_bytes()
-    }
-}
-
-/// Stable two-pass radix sort of suffix-tree nodes by
-/// (frequency descending, string depth ascending), as the paper's `O(n)`
-/// radix sort of `T`. Counting sorts: depth ascending first, then
-/// frequency descending (stability preserves the depth order within equal
-/// frequencies).
-fn radix_sort_nodes(nodes: &mut [LcpInterval], max_freq: usize) {
-    if nodes.len() <= 1 {
-        return;
-    }
-    let max_depth = nodes.iter().map(|n| n.depth).max().unwrap_or(0) as usize;
-
-    // Pass 1: stable counting sort by depth ascending.
-    let mut count = vec![0u32; max_depth + 2];
-    for n in nodes.iter() {
-        count[n.depth as usize + 1] += 1;
-    }
-    for i in 1..count.len() {
-        count[i] += count[i - 1];
-    }
-    let mut tmp = vec![LcpInterval { depth: 0, parent_depth: 0, lb: 0, rb: 0 }; nodes.len()];
-    for n in nodes.iter() {
-        let slot = &mut count[n.depth as usize];
-        tmp[*slot as usize] = *n;
-        *slot += 1;
-    }
-
-    // Pass 2: stable counting sort by frequency descending.
-    // (bucket by max_freq − freq to sort descending)
-    let mut count = vec![0u32; max_freq + 2];
-    for n in &tmp {
-        count[max_freq - n.freq() as usize + 1] += 1;
-    }
-    for i in 1..count.len() {
-        count[i] += count[i - 1];
-    }
-    for n in &tmp {
-        let slot = &mut count[max_freq - n.freq() as usize];
-        nodes[*slot as usize] = *n;
-        *slot += 1;
+        self.q_by_freq.heap_bytes() + self.kept_bytes.get()
     }
 }
 
@@ -302,8 +278,10 @@ fn radix_sort_nodes(nodes: &mut [LcpInterval], max_freq: usize) {
 /// then lists the top-`k` triplets. Returns `(triplets, suffix array)`
 /// so callers can materialise substrings. `O(n + k)` (Theorem 2).
 pub fn exact_top_k(text: &[u8], k: usize) -> (Vec<TopKSubstring>, Vec<u32>) {
-    let (oracle, sa) = TopKOracle::from_text(text);
-    (oracle.top_k(k), sa)
+    let sa = suffix_array(text);
+    let lcp = lcp_array(text, &sa);
+    let items = TopKOracle::new(text.len(), &sa, &lcp).top_k(k);
+    (items, sa)
 }
 
 #[cfg(test)]
@@ -311,6 +289,14 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
     use usi_suffix::naive::{substring_frequencies_naive, top_k_naive};
+
+    /// The oracle over `text` and its suffix array. The arrays are leaked
+    /// so the oracle can borrow them for the rest of the test.
+    fn oracle_of(text: &[u8]) -> (TopKOracle<'static>, &'static [u32]) {
+        let sa = suffix_array(text).leak();
+        let lcp = lcp_array(text, sa).leak();
+        (TopKOracle::new(text.len(), sa, lcp), sa)
+    }
 
     fn freq_multiset(items: &[(Vec<u8>, u32)]) -> Vec<u32> {
         let mut v: Vec<u32> = items.iter().map(|(_, f)| *f).collect();
@@ -353,10 +339,11 @@ mod tests {
     #[test]
     fn tune_for_k_matches_direct_computation() {
         let text = b"abracadabra";
-        let (oracle, sa) = TopKOracle::from_text(text);
+        let (oracle, _) = oracle_of(text);
         let truth = substring_frequencies_naive(text);
         for k in 1..=truth.len() as u64 {
             let t = oracle.tune_for_k(k).unwrap();
+            assert_eq!(t.k, k);
             let listed = oracle.top_k(k as usize);
             let min_freq = listed.iter().map(|s| s.freq()).min().unwrap();
             assert_eq!(t.tau, min_freq, "k={k}");
@@ -366,18 +353,18 @@ mod tests {
             assert_eq!(t.distinct_lengths as usize, lens.len(), "k={k}");
             // lengths covered are exactly 1..=max (ancestor-closure property)
             assert_eq!(*lens.last().unwrap() as usize, lens.len());
-            let _ = sa;
         }
     }
 
     #[test]
     fn tune_for_tau_counts_tau_frequent() {
         let text = b"abracadabra";
-        let (oracle, _) = TopKOracle::from_text(text);
+        let (oracle, _) = oracle_of(text);
         let truth = substring_frequencies_naive(text);
         let max_freq = *truth.values().max().unwrap();
         for tau in 1..=(max_freq + 2) {
             let t = oracle.tune_for_tau(tau);
+            assert_eq!(t.tau, tau);
             let want_k = truth.values().filter(|&&f| f >= tau).count() as u64;
             assert_eq!(t.k, want_k, "tau={tau}");
             let want_lengths: std::collections::HashSet<usize> =
@@ -389,8 +376,7 @@ mod tests {
     #[test]
     fn tune_roundtrip() {
         // K → τ_K → K_{τ_K} ≥ K (all τ_K-frequent substrings include the top-K)
-        let text = b"mississippi";
-        let (oracle, _) = TopKOracle::from_text(text);
+        let (oracle, _) = oracle_of(b"mississippi");
         for k in 1..=oracle.total_distinct_substrings() {
             let tau = oracle.tune_for_k(k).unwrap().tau;
             let k_tau = oracle.tune_for_tau(tau).k;
@@ -400,44 +386,98 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let (oracle, _) = TopKOracle::from_text(b"");
+        let (oracle, _) = oracle_of(b"");
         assert_eq!(oracle.total_distinct_substrings(), 0);
-        assert!(oracle.tune_for_k(1).is_none());
+        assert!(oracle.tradeoff_curve().is_empty());
+        let (oracle, _) = oracle_of(b"z");
+        assert_eq!(oracle.total_distinct_substrings(), 1);
+        let point = TradeoffPoint { tau: 1, k: 1, distinct_lengths: 1 };
+        assert_eq!((oracle.tune_for_k(1), oracle.tradeoff_curve()), (Some(point), vec![point]));
+    }
+
+    #[test]
+    fn empty_text_selects_nothing() {
+        let (oracle, _) = oracle_of(b"");
+        assert_eq!(oracle.tune_for_k(1), None);
+        assert_eq!(oracle.tune_for_tau(0).k, 0);
         assert_eq!(oracle.tune_for_tau(1).k, 0);
         assert!(oracle.top_k(5).is_empty());
+        assert_eq!(oracle.top_k_in(5, 1..=3).count(), 0);
+    }
 
-        let (oracle, _) = TopKOracle::from_text(b"z");
-        assert_eq!(oracle.total_distinct_substrings(), 1);
-        assert_eq!(oracle.tune_for_k(1).unwrap(), TuneForK { tau: 1, distinct_lengths: 1 });
-        assert!(oracle.tune_for_k(0).is_none());
+    #[test]
+    fn one_letter_text_selects_that_letter() {
+        let (oracle, _) = oracle_of(b"z");
+        let tau = |k| oracle.tune_for_k(k).map(|t| t.tau);
+        assert_eq!((tau(0), tau(1), tau(7)), (None, Some(1), Some(1)));
+        assert_eq!((oracle.tune_for_tau(1).k, oracle.tune_for_tau(2).k), (1, 0));
+        assert!(oracle.top_k(0).is_empty());
+        let want = [TopKSubstring { len: 1, lb: 0, rb: 0 }];
+        assert_eq!((oracle.top_k(1), oracle.top_k(3)), (want.to_vec(), want.to_vec()));
     }
 
     #[test]
     fn entries_sorted_freq_desc_depth_asc() {
-        let (oracle, _) = TopKOracle::from_text(b"abababab");
-        let e = oracle.entries();
-        for w in e.windows(2) {
-            assert!(
-                w[0].freq > w[1].freq || (w[0].freq == w[1].freq && w[0].depth <= w[1].depth),
-                "bad order: {:?} then {:?}",
-                w[0],
-                w[1]
-            );
+        // The listing walks T. Each node is a run of one SA interval, its
+        // lengths in order; frequencies never rise, and within one
+        // frequency a node ends no shallower than the one before it.
+        let (oracle, _) = oracle_of(b"abababab_abba");
+        let mut nodes: Vec<(u32, u32, u32)> = Vec::new(); // (freq, lb, depth)
+        for s in oracle.top_k(usize::MAX) {
+            match nodes.last_mut() {
+                Some(node) if (node.0, node.1) == (s.freq(), s.lb) => {
+                    assert_eq!(s.len, node.2 + 1);
+                    node.2 = s.len;
+                }
+                _ => nodes.push((s.freq(), s.lb, s.len)),
+            }
         }
+        for w in nodes.windows(2) {
+            assert!(w[0].0 > w[1].0 || (w[0].0 == w[1].0 && w[0].2 <= w[1].2), "{w:?}");
+        }
+    }
+
+    #[test]
+    fn windowed_listing_filters_the_full_listing() {
+        for text in [&b"banana_banana"[..], b"mississippi", b"aaaaaaa", b"abcabcab"] {
+            let (oracle, _) = oracle_of(text);
+            let all = oracle.top_k(usize::MAX);
+            for lengths in [1..=1, 2..=3, 3..=200, 0..=u32::MAX, RangeInclusive::new(5, 4)] {
+                let want: Vec<TopKSubstring> =
+                    all.iter().copied().filter(|s| lengths.contains(&s.len)).collect();
+                for k in [0, 1, 3, 8, want.len(), want.len() + 2] {
+                    let got: Vec<TopKSubstring> = oracle.top_k_in(k, lengths.clone()).collect();
+                    assert_eq!(got, want[..k.min(want.len())], "{text:?} {lengths:?} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heap_bytes_count_the_kept_nodes() {
+        let text = b"abracadabra_abracadabra";
+        let (oracle, _) = oracle_of(text);
+        let histogram = (text.len() + 1) * std::mem::size_of::<u64>();
+        assert_eq!(oracle.heap_bytes(), histogram);
+        assert_eq!(oracle.top_k(5).len(), 5);
+        let peak = oracle.heap_bytes();
+        assert!(peak >= histogram + std::mem::size_of::<LcpInterval>());
+        // the peak stays after a smaller listing
+        oracle.top_k(1);
+        assert_eq!(oracle.heap_bytes(), peak);
     }
 
     #[test]
     fn q_sums_to_distinct_substrings() {
         for text in [&b"banana"[..], b"aaaa", b"abcabc"] {
-            let (oracle, _) = TopKOracle::from_text(text);
             let truth: HashMap<Vec<u8>, u32> = substring_frequencies_naive(text);
-            assert_eq!(oracle.total_distinct_substrings() as usize, truth.len());
+            assert_eq!(oracle_of(text).0.total_distinct_substrings() as usize, truth.len());
         }
     }
 
     #[test]
     fn tradeoff_curve_is_a_pareto_frontier() {
-        let (oracle, _) = TopKOracle::from_text(b"abracadabra_abracadabra");
+        let (oracle, _) = oracle_of(b"abracadabra_abracadabra");
         let curve = oracle.tradeoff_curve();
         assert!(!curve.is_empty());
         // strictly decreasing tau, strictly increasing K, consistent with
@@ -448,9 +488,7 @@ mod tests {
             assert!(w[0].distinct_lengths <= w[1].distinct_lengths);
         }
         for p in &curve {
-            let t = oracle.tune_for_tau(p.tau);
-            assert_eq!(t.k, p.k);
-            assert_eq!(t.distinct_lengths, p.distinct_lengths);
+            assert_eq!(oracle.tune_for_tau(p.tau), *p);
         }
         // the last point covers every distinct substring (tau = 1)
         assert_eq!(curve.last().unwrap().tau, 1);
@@ -458,28 +496,11 @@ mod tests {
     }
 
     #[test]
-    fn select_tradeoff_follows_weights() {
-        let (oracle, _) = TopKOracle::from_text(b"banana_banana_banana");
-        // all weight on queries: minimise tau (pick the tau = 1 extreme)
-        let q = oracle.select_tradeoff(1.0, 0.0).unwrap();
-        assert_eq!(q.tau, 1);
-        // all weight on space: minimise K (pick the smallest-K extreme)
-        let s = oracle.select_tradeoff(0.0, 1.0).unwrap();
-        assert_eq!(s.k, oracle.tradeoff_curve()[0].k);
-        // mixed weights minimise the weighted cost over the whole curve
-        let m = oracle.select_tradeoff(1.0, 1.0).unwrap();
-        let cost = |p: &TradeoffPoint| p.tau as f64 + p.k as f64;
-        for p in &oracle.tradeoff_curve() {
-            assert!(cost(&m) <= cost(p), "{m:?} costlier than {p:?}");
-        }
-    }
-
-    #[test]
     fn unary_text_oracle() {
         // "aaaa": substrings a(4) aa(3) aaa(2) aaaa(1)
-        let (oracle, sa) = TopKOracle::from_text(b"aaaa");
+        let (oracle, sa) = oracle_of(b"aaaa");
         let top = oracle.top_k(3);
-        let texts: Vec<&[u8]> = top.iter().map(|s| s.bytes(b"aaaa", &sa)).collect();
+        let texts: Vec<&[u8]> = top.iter().map(|s| s.bytes(b"aaaa", sa)).collect();
         assert_eq!(texts, vec![&b"a"[..], b"aa", b"aaa"]);
         assert_eq!(oracle.tune_for_k(2).unwrap().tau, 3);
         assert_eq!(oracle.tune_for_tau(2).k, 3);

@@ -10,27 +10,6 @@
 //!   and the streaming baselines, where full occurrence lists are
 //!   unavailable).
 
-use usi_suffix::LcpInterval;
-
-/// Task (i)'s listing: the substrings of `nodes` as triplets, the nodes
-/// in the given order and each node's shorter lengths first, until `k`
-/// are listed.
-pub(crate) fn list_top_k(
-    nodes: impl IntoIterator<Item = LcpInterval>,
-    k: usize,
-) -> Vec<TopKSubstring> {
-    let mut out = Vec::new();
-    'outer: for node in nodes {
-        for len in (node.parent_depth + 1)..=node.depth {
-            if out.len() == k {
-                break 'outer;
-            }
-            out.push(TopKSubstring { len, lb: node.lb, rb: node.rb });
-        }
-    }
-    out
-}
-
 /// A top-K frequent substring as a suffix-array interval triplet
 /// `⟨lcp, lb, rb⟩` (paper, Section V, Task (i)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

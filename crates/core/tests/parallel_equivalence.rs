@@ -1,10 +1,9 @@
 //! Build reproducibility: two deterministic builds of one input must
 //! serialise to **byte-identical** `USIX` images, and the image must
 //! load back. This is the invariant the CI smoke job enforces with
-//! `cmp` on two `usi build` outputs (`--threads 1` and `--threads 4`,
-//! a count construction ignores), checked here at property-test
-//! granularity (including the degenerate inputs the CLI fixture cannot
-//! cover).
+//! `cmp` on two `usi build` outputs of one input, checked here at
+//! property-test granularity (including the degenerate inputs the CLI
+//! fixture cannot cover).
 
 use proptest::prelude::*;
 use usi_core::{UsiBuilder, UsiIndex};

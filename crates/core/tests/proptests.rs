@@ -1,15 +1,21 @@
 //! Property-based tests for the USI core: Theorem-level invariants.
 
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::ops::RangeInclusive;
 use usi_core::{
-    approximate_top_k, exact_top_k, ApproxConfig, TopKEstimate, TopKOracle, TopKSelector,
-    UsiBuilder, UsiIndex,
+    approximate_top_k, exact_top_k, ApproxConfig, TopKEstimate, TopKOracle, TopKSubstring,
+    TradeoffPoint, UsiBuilder, UsiIndex,
 };
 use usi_strings::{
     Fingerprinter, FxHashMap, GlobalAggregator, GlobalUtility, LocalWindow, UtilityAccumulator,
     WeightedString,
 };
 use usi_suffix::naive::substring_frequencies_naive;
+use usi_suffix::sparse::arithmetic_sample;
+use usi_suffix::{
+    lcp_array, lcp_intervals, sparse_suffix_array, suffix_array, LcpInterval, NaiveLce,
+};
 
 fn text_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 1..max_len)
@@ -40,10 +46,12 @@ proptest! {
     /// Oracle tuning tasks are consistent with Task (i) listing.
     #[test]
     fn oracle_tasks_consistent(text in text_strategy(60)) {
-        let (oracle, _) = TopKOracle::from_text(&text);
+        let (sa, lcp) = arrays(&text);
+        let oracle = TopKOracle::new(text.len(), &sa, &lcp);
         let total = oracle.total_distinct_substrings();
         for k in (1..=total).step_by((total as usize / 8).max(1)) {
             let t = oracle.tune_for_k(k).unwrap();
+            prop_assert_eq!(t.k, k);
             let listed = oracle.top_k(k as usize);
             prop_assert_eq!(t.tau, listed.iter().map(|s| s.freq()).min().unwrap());
             let mut lens: Vec<u32> = listed.iter().map(|s| s.len).collect();
@@ -100,6 +108,72 @@ proptest! {
     }
 }
 
+/// The suffix and LCP arrays of `text`, for an oracle over them.
+fn arrays(text: &[u8]) -> (Vec<u32>, Vec<u32>) {
+    let sa = suffix_array(text);
+    let lcp = lcp_array(text, &sa);
+    (sa, lcp)
+}
+
+/// The paper's Section-V array, as the reference for [`TopKOracle`]:
+/// `t` holds every suffix-tree node stably sorted by (frequency desc,
+/// depth asc), `q` the running count of substrings and `l` the running
+/// maximum depth.
+struct SortedNodes {
+    t: Vec<LcpInterval>,
+    q: Vec<u64>,
+    l: Vec<u32>,
+}
+
+impl SortedNodes {
+    fn new(text_len: usize, sa: &[u32], lcp: &[u32]) -> Self {
+        let mut t = lcp_intervals(lcp, |i| (text_len - sa[i] as usize) as u32, true);
+        t.sort_by_key(|node| (Reverse(node.freq()), node.depth));
+        let (mut q, mut l) = (Vec::new(), Vec::new());
+        for node in &t {
+            q.push(q.last().unwrap_or(&0) + node.q() as u64);
+            l.push(node.depth.max(*l.last().unwrap_or(&0)));
+        }
+        Self { t, q, l }
+    }
+
+    fn top_k_in(&self, k: usize, lengths: &RangeInclusive<u32>) -> Vec<TopKSubstring> {
+        let items = self.t.iter().flat_map(|node| {
+            let (lb, rb) = (node.lb, node.rb);
+            (node.parent_depth + 1..=node.depth).map(move |len| TopKSubstring { len, lb, rb })
+        });
+        items.filter(|s| lengths.contains(&s.len)).take(k).collect()
+    }
+
+    /// The entry where the `k`-th substring lies; when `k` ends partway
+    /// along its edge, `L_K` counts the lengths listed on that edge.
+    fn tune_for_k(&self, k: u64) -> Option<TradeoffPoint> {
+        let k = k.min(self.q.last().copied().unwrap_or(0));
+        if k == 0 {
+            return None;
+        }
+        let i = self.q.partition_point(|&q| q < k);
+        let (q, l) = if i == 0 { (0, 0) } else { (self.q[i - 1], self.l[i - 1]) };
+        let node = self.t[i];
+        let distinct_lengths = l.max(node.parent_depth + (k - q) as u32);
+        Some(TradeoffPoint { tau: node.freq(), k, distinct_lengths })
+    }
+
+    fn tune_for_tau(&self, tau: u32) -> TradeoffPoint {
+        match self.t.partition_point(|node| node.freq() >= tau) {
+            0 => TradeoffPoint { tau, k: 0, distinct_lengths: 0 },
+            end => TradeoffPoint { tau, k: self.q[end - 1], distinct_lengths: self.l[end - 1] },
+        }
+    }
+
+    /// One point per distinct frequency, from the most frequent.
+    fn tradeoff_curve(&self) -> Vec<TradeoffPoint> {
+        let mut freqs: Vec<u32> = self.t.iter().map(|node| node.freq()).collect();
+        freqs.dedup();
+        freqs.into_iter().map(|tau| self.tune_for_tau(tau)).collect()
+    }
+}
+
 /// A text of `len` letters: random over `sigma` letters (`shape` 0),
 /// unary (1), or a random word of 1–6 letters repeated (2).
 fn shaped_text(shape: usize, sigma: u8, len: usize, seed: u64) -> Vec<u8> {
@@ -118,9 +192,12 @@ fn shaped_text(shape: usize, sigma: u8, len: usize, seed: u64) -> Vec<u8> {
 
 // Default config: `PROPTEST_CASES` deepens the run.
 proptest! {
-    /// Phase (i)'s histogram selection lists exactly the oracle's
-    /// triplets, in the oracle's order, so builds that switched from the
-    /// oracle to it write the same `.usix` bytes.
+    /// The frequency histogram answers every task as the paper's sorted
+    /// node array does (ties included, so builds write the same `.usix`
+    /// bytes): Task (i) whole and over a random length window, Task (ii)
+    /// at several `K`, Task (iii) at every `τ`, and the trade-off curve.
+    /// With `sparse`, the arrays are an Approximate-Top-K round's sample
+    /// of every `step`-th suffix, each `n − ssa[i]` letters long.
     #[test]
     fn selection_equals_oracle_top_k(
         shape in 0usize..3,
@@ -128,28 +205,48 @@ proptest! {
         len in 1usize..300,
         seed in any::<u64>(),
         k_pick in any::<u64>(),
+        sparse in any::<bool>(),
+        step in 2usize..6,
+        shortest in 0u32..30,
+        window in 0u32..30,
     ) {
         let text = shaped_text(shape, sigma, len, seed);
-        let sa = usi_suffix::suffix_array(&text);
-        let lcp = usi_suffix::lcp_array(&text, &sa);
-        let oracle = TopKOracle::new(text.len(), &sa, &lcp);
-        let selector = TopKSelector::new(&sa, &lcp);
+        let (sa, lcp) = if sparse {
+            let sample = arithmetic_sample(len, seed as usize % step, step);
+            let idx = sparse_suffix_array(&text, sample, &NaiveLce::new(&text));
+            (idx.ssa, idx.slcp)
+        } else {
+            arrays(&text)
+        };
+        let oracle = TopKOracle::new(len, &sa, &lcp);
+        let reference = SortedNodes::new(len, &sa, &lcp);
         let distinct = oracle.total_distinct_substrings();
+        prop_assert_eq!(distinct, reference.q.last().copied().unwrap_or(0));
         // substrings that occur at least twice: one more lets leaves in
-        let twice = oracle.tune_for_tau(2).k;
-        prop_assert_eq!(selector.k_for_tau(2), twice);
-        prop_assert_eq!(selector.tau_for_k(twice + 1), Some(1));
+        let twice = reference.tune_for_tau(2).k;
         for k in [
             0,
             1,
             len as u64 / 100,
-            1 + k_pick % distinct,
+            1 + k_pick % distinct.max(1),
             twice + 1,
             distinct,
             distinct + 1 + k_pick % 8,
         ] {
-            prop_assert_eq!((k, selector.top_k(k as usize)), (k, oracle.top_k(k as usize)));
+            let all = 1..=u32::MAX;
+            prop_assert_eq!((k, oracle.top_k(k as usize)), (k, reference.top_k_in(k as usize, &all)));
+            prop_assert_eq!((k, oracle.tune_for_k(k)), (k, reference.tune_for_k(k)));
         }
+        let lengths = shortest..=shortest + window;
+        let in_window = reference.top_k_in(usize::MAX, &lengths).len();
+        for k in [1 + k_pick as usize % (in_window + 1), in_window + 1] {
+            let got: Vec<TopKSubstring> = oracle.top_k_in(k, lengths.clone()).collect();
+            prop_assert_eq!((k, got), (k, reference.top_k_in(k, &lengths)));
+        }
+        for tau in 0..=sa.len() as u32 + 1 {
+            prop_assert_eq!(oracle.tune_for_tau(tau), reference.tune_for_tau(tau));
+        }
+        prop_assert_eq!(oracle.tradeoff_curve(), reference.tradeoff_curve());
     }
 
     /// A `with_tau(τ)` build caches exactly `K_τ` substrings, as the
@@ -163,7 +260,8 @@ proptest! {
         tau in 0u32..8,
     ) {
         let text = shaped_text(shape, sigma, len, seed);
-        let (oracle, _) = TopKOracle::from_text(&text);
+        let (sa, lcp) = arrays(&text);
+        let oracle = TopKOracle::new(len, &sa, &lcp);
         let index = UsiBuilder::new()
             .with_tau(tau)
             .deterministic(seed)

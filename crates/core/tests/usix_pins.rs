@@ -1,4 +1,4 @@
-//! Cross-commit pins on `.usix` bytes. The `--threads` gates
+//! Cross-commit pins on `.usix` bytes. The determinism gates
 //! (`parallel_equivalence.rs`, CI's `cmp`) compare two builds made by
 //! one commit, so they cannot notice a change in the order phase (ii)
 //! sums local utilities. These FNV-1a-64 digests were recorded once and

@@ -146,16 +146,21 @@ fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
 mod tests {
     use super::*;
     use usi_core::oracle::TopKOracle;
+    use usi_suffix::{lcp_array, suffix_array};
 
-    fn setup(text: &[u8]) -> (TopKOracle, Vec<u32>) {
-        TopKOracle::from_text(text)
+    /// The oracle over `text` and its suffix array. The arrays are leaked
+    /// so the oracle can borrow them for the rest of the test.
+    fn setup(text: &[u8]) -> (TopKOracle<'static>, &'static [u32]) {
+        let sa = suffix_array(text).leak();
+        let lcp = lcp_array(text, sa).leak();
+        (TopKOracle::new(text.len(), sa, lcp), sa)
     }
 
     #[test]
     fn w1_has_requested_count_and_valid_patterns() {
         let text = b"abracadabra_abracadabra_abracadabra!".repeat(30);
         let (oracle, sa) = setup(&text);
-        let w = w1(&text, &oracle, &sa, 200, 50, (1, 50), 1);
+        let w = w1(&text, &oracle, sa, 200, 50, (1, 50), 1);
         assert_eq!(w.len(), 200);
         for q in &w.queries {
             assert!(!q.is_empty() && q.len() <= text.len());
@@ -166,7 +171,7 @@ mod tests {
     fn w1_is_dominated_by_frequent_patterns() {
         let text = b"xyxyxyxyzz".repeat(100);
         let (oracle, sa) = setup(&text);
-        let w = w1(&text, &oracle, &sa, 300, 50, (1, 20), 2);
+        let w = w1(&text, &oracle, sa, 300, 50, (1, 20), 2);
         // at least 80% of the queries must occur ≥ τ times where τ is the
         // top-(n/50) threshold
         let k = text.len() / 50;
@@ -191,8 +196,8 @@ mod tests {
                 .filter(|q| text.windows(q.len()).filter(|x| x == &&q[..]).count() >= tau_hot)
                 .count()
         };
-        let w20 = w2p(&text, &oracle, &sa, 200, 20, 50, (1, 30), 3);
-        let w80 = w2p(&text, &oracle, &sa, 200, 80, 50, (1, 30), 3);
+        let w20 = w2p(&text, &oracle, sa, 200, 20, 50, (1, 30), 3);
+        let w80 = w2p(&text, &oracle, sa, 200, 80, 50, (1, 30), 3);
         assert!(count_hot(&w80) >= count_hot(&w20));
         assert_eq!(w20.name, "W2,20");
     }
@@ -201,8 +206,8 @@ mod tests {
     fn workloads_are_deterministic() {
         let text = b"banana".repeat(100);
         let (oracle, sa) = setup(&text);
-        let a = w1(&text, &oracle, &sa, 50, 50, (1, 10), 9);
-        let b = w1(&text, &oracle, &sa, 50, 50, (1, 10), 9);
+        let a = w1(&text, &oracle, sa, 50, 50, (1, 10), 9);
+        let b = w1(&text, &oracle, sa, 50, 50, (1, 10), 9);
         assert_eq!(a.queries, b.queries);
     }
 
@@ -210,7 +215,7 @@ mod tests {
     fn len_range_clamped_to_text() {
         let text = b"short".repeat(10); // n = 50
         let (oracle, sa) = setup(&text);
-        let w = w1(&text, &oracle, &sa, 40, 50, (1, 20_000), 4);
+        let w = w1(&text, &oracle, sa, 40, 50, (1, 20_000), 4);
         for q in &w.queries {
             assert!(q.len() <= 50);
         }

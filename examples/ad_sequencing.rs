@@ -12,6 +12,7 @@ use usi::core::oracle::TopKOracle;
 use usi::datasets::Dataset;
 use usi::prelude::*;
 use usi::strings::text::display_bytes;
+use usi::suffix::{lcp_array, suffix_array};
 
 fn main() {
     // ADV-like corpus: 200k ad-category letters with CTR utilities.
@@ -33,19 +34,13 @@ fn main() {
 
     // The company mines: every substring of length >= 3 is a candidate;
     // rank by global utility and contrast with the frequency ranking.
-    let (oracle, sa) = TopKOracle::from_text(ws.text());
+    // The candidates are the 150 000 most frequent of length 3..=200.
+    let sa = suffix_array(ws.text());
+    let lcp = lcp_array(ws.text(), &sa);
     let mut scored: Vec<(u32, u32, u64, f64)> = Vec::new(); // (pos, len, freq, utility)
-    'outer: for e in oracle.entries() {
-        let lo = (e.parent_depth + 1).max(3);
-        for len in lo..=e.depth.min(200) {
-            if scored.len() >= 150_000 {
-                break 'outer;
-            }
-            let pos = sa[e.lb as usize];
-            let pat = &ws.text()[pos as usize..pos as usize + len as usize];
-            let q = index.query(pat);
-            scored.push((pos, len, q.occurrences, q.value.unwrap_or(0.0)));
-        }
+    for s in TopKOracle::new(n, &sa, &lcp).top_k_in(150_000, 3..=200) {
+        let q = index.query(s.bytes(ws.text(), &sa));
+        scored.push((sa[s.lb as usize], s.len, q.occurrences, q.value.unwrap_or(0.0)));
     }
 
     let show = |items: &[(u32, u32, u64, f64)]| {

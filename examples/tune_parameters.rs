@@ -3,19 +3,24 @@
 //! Before building `USI_TOP-K`, the linear-space oracle predicts, for
 //! any candidate `K`, the query-time bound `τ_K` and the construction
 //! factor `L_K` — and inversely, for any target query time `τ`, the
-//! space `K_τ` it will cost. This example sweeps both directions and
-//! verifies the predictions against a real build.
+//! space `K_τ` it will cost. The oracle is the frequency histogram a
+//! build's phase (i) reads, over the text's suffix and LCP arrays; each
+//! prediction is one `O(n)` sweep of those arrays. This example sweeps
+//! both directions and verifies the predictions against a real build.
 //!
 //! Run with: `cargo run --release --example tune_parameters`
 
 use usi::core::oracle::TopKOracle;
 use usi::datasets::Dataset;
 use usi::prelude::*;
+use usi::suffix::{lcp_array, suffix_array};
 
 fn main() {
     let ws = Dataset::Xml.generate(200_000, 9);
     let n = ws.len();
-    let (oracle, _sa) = TopKOracle::from_text(ws.text());
+    let sa = suffix_array(ws.text());
+    let lcp = lcp_array(ws.text(), &sa);
+    let oracle = TopKOracle::new(n, &sa, &lcp);
     println!("n = {n}, distinct substrings = {}", oracle.total_distinct_substrings());
 
     // Task (ii): given K, predict query time (τ_K) and construction (L_K).

@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use usi::core::oracle::TopKOracle;
 use usi::prelude::*;
+use usi::suffix::{lcp_array, suffix_array};
 
 /// Builds a synthetic click-stream: pages 'a'..='t', with a popular
 /// navigation funnel "home → search → product → checkout" planted as
@@ -46,9 +47,10 @@ fn click_stream(n: usize, seed: u64) -> WeightedString {
 fn main() {
     let ws = click_stream(300_000, 99);
     // Pick K from the trade-off curve: spend space until τ ≤ 64.
-    let (oracle, _) = TopKOracle::from_text(ws.text());
-    let point =
-        oracle.tradeoff_curve().into_iter().find(|p| p.tau <= 64).expect("curve reaches tau = 1");
+    let sa = suffix_array(ws.text());
+    let lcp = lcp_array(ws.text(), &sa);
+    let curve = TopKOracle::new(ws.len(), &sa, &lcp).tradeoff_curve();
+    let point = curve.into_iter().find(|p| p.tau <= 64).expect("curve reaches tau = 1");
     println!(
         "trade-off pick: cache K = {} substrings → worst fallback τ = {}, {} lengths",
         point.k, point.tau, point.distinct_lengths

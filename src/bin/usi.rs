@@ -3,7 +3,7 @@
 //! ```text
 //! usi build <text-file> [--weights FILE | --uniform W] [--k K | --tau T]
 //!           [--approx S] [--agg sum|min|max|avg|count] [--local sum|product]
-//!           [--seed N] [--threads N] -o OUT.usix
+//!           [--seed N] -o OUT.usix
 //! usi query <OUT.usix> <pattern> [<pattern>…] [--json] [--mmap]
 //! usi stats <OUT.usix> [--mmap]
 //! usi inspect <OUT.usix | WAL.usil>
@@ -73,12 +73,12 @@ use std::net::TcpListener;
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
-use usi::core::oracle::TopKOracle;
 use usi::core::IndexStorage;
 use usi::prelude::*;
 use usi::server::json::query_result_json;
 use usi::strings::text::display_bytes;
 use usi::strings::LocalWindow;
+use usi::suffix::{lcp_array, suffix_array};
 
 fn die(msg: &str) -> ! {
     eprintln!("usi: {msg}");
@@ -129,7 +129,7 @@ struct Command {
 impl Command {
     fn named(name: &str) -> Option<Self> {
         let (run, flags, switches): (fn(&Args), _, _) = match name {
-            "build" => (cmd_build, "weights uniform k tau approx agg local seed threads out", ""),
+            "build" => (cmd_build, "weights uniform k tau approx agg local seed out", ""),
             "query" => (cmd_query, "", "json mmap"),
             "stats" => (cmd_stats, "", "mmap"),
             "inspect" => (cmd_inspect, "", ""),
@@ -271,12 +271,6 @@ fn cmd_build(args: &Args) {
             .map(|s| s.parse().unwrap_or_else(|_| die("bad --seed")))
             .unwrap_or(0xbeef),
     );
-    // --threads is accepted and ignored: construction is serial at every
-    // count, and the output is the same bytes at any count (CI
-    // cmp-gates this).
-    if let Some(t) = args.flag("threads") {
-        builder = builder.with_threads(t.parse().unwrap_or_else(|_| die("bad --threads")));
-    }
 
     let out_path = args.flag("out").unwrap_or_else(|| die("build requires -o OUT"));
     let index = builder.build(ws);
@@ -844,19 +838,11 @@ fn cmd_topk(args: &Args) {
         .unwrap_or_else(|_| die("bad --k"));
     let min_len: u32 =
         args.flag("min-len").map_or(1, |s| s.parse().unwrap_or_else(|_| die("bad --min-len")));
-    let (oracle, sa) = TopKOracle::from_text(&text);
-    let mut emitted = 0usize;
-    'outer: for e in oracle.entries() {
-        let lo = (e.parent_depth + 1).max(min_len);
-        for len in lo..=e.depth {
-            if emitted == k {
-                break 'outer;
-            }
-            let pos = sa[e.lb as usize] as usize;
-            let sub = &text[pos..pos + len as usize];
-            println!("{}\t{}", e.freq, display_bytes(&sub[..sub.len().min(60)]));
-            emitted += 1;
-        }
+    let sa = suffix_array(&text);
+    let lcp = lcp_array(&text, &sa);
+    for item in TopKOracle::new(text.len(), &sa, &lcp).top_k_in(k, min_len..=u32::MAX) {
+        let sub = item.bytes(&text, &sa);
+        println!("{}\t{}", item.freq(), display_bytes(&sub[..sub.len().min(60)]));
     }
 }
 
@@ -867,8 +853,9 @@ fn cmd_tradeoff(args: &Args) {
     let text = read_text(path);
     let points: usize =
         args.flag("points").map_or(20, |s| s.parse().unwrap_or_else(|_| die("bad --points")));
-    let (oracle, _) = TopKOracle::from_text(&text);
-    let curve = oracle.tradeoff_curve();
+    let sa = suffix_array(&text);
+    let lcp = lcp_array(&text, &sa);
+    let curve = TopKOracle::new(text.len(), &sa, &lcp).tradeoff_curve();
     let step = (curve.len() / points.max(1)).max(1);
     println!("tau\tK\tL");
     for p in curve.iter().step_by(step) {

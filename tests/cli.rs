@@ -99,17 +99,39 @@ fn stats_and_topk_and_tradeoff() {
     assert!(stdout.contains("n\t120"));
     assert!(stdout.contains("cached substrings"));
 
-    let out = usi().args(["topk", text_path.to_str().unwrap(), "--k", "3"]).output().unwrap();
+    let text = text_path.to_str().unwrap();
+    let out = usi().args(["topk", text, "--k", "3"]).output().unwrap();
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert_eq!(stdout.lines().count(), 3);
     // most frequent single letters of banana^20: a (60), n (40), b (20)
     assert!(stdout.lines().next().unwrap().starts_with("60\ta"));
 
-    let out =
-        usi().args(["tradeoff", text_path.to_str().unwrap(), "--points", "4"]).output().unwrap();
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.lines().next().unwrap().contains("tau"));
-    assert!(stdout.lines().count() >= 2);
+    // by frequency, then shorter node first, each node's lengths in order
+    let out = usi().args(["topk", text, "--k", "8", "--min-len", "2"]).output().unwrap();
+    let want = "40 na|40 an|40 ana|20 nan|20 nana|20 anan|20 anana|20 ba";
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), rows(want));
+
+    // one row per distinct frequency: 22, fewer than --points, so all print
+    let out = usi().args(["tradeoff", text, "--points", "100"]).output().unwrap();
+    let want = "tau K L|60 1 1|40 5 3|20 15 6|19 51 12|18 87 18|17 123 24|16 159 30|15 195 36|\
+                14 231 42|13 267 48|12 303 54|11 339 60|10 375 66|9 411 72|8 447 78|7 483 84|\
+                6 519 90|5 555 96|4 591 102|3 627 108|2 663 114|1 699 120";
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), rows(want));
+
+    // an empty text has no substrings: no rows, and only the header
+    std::fs::write(&text_path, b"").unwrap();
+    let out = usi().args(["topk", text, "--k", "5"]).output().unwrap();
+    assert_eq!((out.status.success(), &out.stdout[..]), (true, &b""[..]));
+    let out = usi().args(["tradeoff", text]).output().unwrap();
+    assert_eq!(
+        (out.status.success(), String::from_utf8(out.stdout).unwrap()),
+        (true, rows("tau K L"))
+    );
+}
+
+/// The `|`-separated rows of `table` as lines, spaces turned into tabs.
+fn rows(table: &str) -> String {
+    table.replace('|', "\n").replace(' ', "\t") + "\n"
 }
 
 #[test]
@@ -411,14 +433,18 @@ fn unknown_flags_exit_2_naming_the_flag() {
     use std::process::Stdio;
 
     let index = flag_test_index("t12");
+    let text = tmp("t12.txt").to_str().unwrap().to_string();
+    let out_path = tmp("t12-threads.usix").to_str().unwrap().to_string();
     // a flag before the index path must not swallow it as a value, one
     // after it must not pass unnoticed (with stdin at EOF, a server that
-    // started would exit 0), and another subcommand's flag is unknown too
+    // started would exit 0), another subcommand's flag is unknown too,
+    // and so is the thread count serial construction no longer takes
     for (args, flag) in [
         (&["serve", "--no-reactor", &index][..], "--no-reactor"),
         (&["serve", &index, "--bogus-flag"][..], "--bogus-flag"),
         (&["query", &index, "abra", "--k", "3"][..], "--k"),
         (&["inspect", &index, "--mmap"][..], "--mmap"),
+        (&["build", &text, "--threads", "4", "-o", &out_path][..], "--threads"),
     ] {
         let out = usi().args(args).stdin(Stdio::null()).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

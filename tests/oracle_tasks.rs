@@ -5,11 +5,20 @@
 use usi::core::oracle::TopKOracle;
 use usi::datasets::Dataset;
 use usi::prelude::*;
+use usi::suffix::{lcp_array, suffix_array};
+
+/// The oracle over `text` and its suffix array. The arrays are leaked so
+/// the oracle can borrow them for the rest of the test.
+fn oracle_of(text: &[u8]) -> (TopKOracle<'static>, &'static [u32]) {
+    let sa = suffix_array(text).leak();
+    let lcp = lcp_array(text, sa).leak();
+    (TopKOracle::new(text.len(), sa, lcp), sa)
+}
 
 #[test]
 fn predictions_match_built_index_across_k() {
     let ws = Dataset::Adv.generate(8_000, 71);
-    let (oracle, _) = TopKOracle::from_text(ws.text());
+    let (oracle, _) = oracle_of(ws.text());
     for k in [10u64, 50, 200, 1000] {
         let predicted = oracle.tune_for_k(k).unwrap();
         let index = UsiBuilder::new().with_k(k as usize).deterministic(73).build(ws.clone());
@@ -23,7 +32,7 @@ fn predictions_match_built_index_across_k() {
 #[test]
 fn tau_parameterisation_matches_task_iii() {
     let ws = Dataset::Hum.generate(8_000, 81);
-    let (oracle, _) = TopKOracle::from_text(ws.text());
+    let (oracle, _) = oracle_of(ws.text());
     for tau in [5u32, 10, 40] {
         let predicted = oracle.tune_for_tau(tau);
         let index = UsiBuilder::new().with_tau(tau).deterministic(83).build(ws.clone());
@@ -60,8 +69,8 @@ fn tau_bounds_fallback_occurrences() {
 fn workloads_exercise_both_query_paths() {
     use usi::datasets::w1;
     let ws = Dataset::Xml.generate(20_000, 101);
-    let (oracle, sa) = TopKOracle::from_text(ws.text());
-    let workload = w1(ws.text(), &oracle, &sa, 500, 50, (1, 100), 103);
+    let (oracle, sa) = oracle_of(ws.text());
+    let workload = w1(ws.text(), &oracle, sa, 500, 50, (1, 100), 103);
     let index = UsiBuilder::new().with_k(ws.len() / 100).deterministic(105).build(ws.clone());
     let mut hits = 0usize;
     let mut misses = 0usize;

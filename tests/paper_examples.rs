@@ -69,6 +69,7 @@ fn top_k_frequent_substrings_of_example_1() {
     assert_eq!(top[1].freq(), 7);
     // K = 1 ⇒ τ_K = max frequency: the paper's extreme-case discussion.
     use usi::core::TopKOracle;
-    let (oracle, _) = TopKOracle::from_text(ws.text());
+    let lcp = usi::suffix::lcp_array(ws.text(), &sa);
+    let oracle = TopKOracle::new(ws.len(), &sa, &lcp);
     assert_eq!(oracle.tune_for_k(1).unwrap().tau, 8);
 }
