@@ -6,29 +6,40 @@
 //!
 //! * a frozen **base** [`UsiIndex`] covers the original document;
 //! * appended letters land in an in-memory **tail**;
-//! * when the tail crosses `seal_threshold` it is **sealed** into an
-//!   immutable generation-0 segment — a small `UsiIndex`, built on the
-//!   calling thread — instead of rebuilding everything;
+//! * once the tail holds `seal_threshold` letters, its first
+//!   `seal_threshold` letters are **sealed** into an immutable
+//!   generation-0 segment — a small `UsiIndex` — instead of rebuilding
+//!   everything;
 //! * a generation-tiered **compaction** merges `compact_fanout`
 //!   adjacent segments of one generation into a single segment of the
 //!   next, keeping the segment count logarithmic in the appended
-//!   length. Compaction is a pure function of existing segments, so the
-//!   pipeline can run it on a background thread off the write path.
+//!   length.
+//!
+//! Seals and compactions run in three steps: a **plan** copies what the
+//! build needs ([`SealPlan`], [`CompactionPlan`]), the **build** is a
+//! pure function of the plan (it also writes and maps the segment file
+//! under [`IngestOptions::segment_dir`]), and the **install** swaps the
+//! result in and refuses a stale plan. [`IngestIndex::push`],
+//! [`IngestIndex::append`] and [`IngestIndex::compact_once`] run the
+//! three steps inline on the calling thread; the pipeline's sealer and
+//! compactor threads run the same steps with only the install under
+//! the write lock.
 //!
 //! A query merges per-component answers (base, each segment) with the
 //! shared [`usi_core::merge`] helper — the same implementation the
-//! serving layer's cross-document fan-out uses — and stitches in the
-//! occurrences no component can see (those crossing a component
-//! boundary, plus those inside the unindexed tail) with a rolling-hash
-//! scan over the boundary regions.
+//! serving layer's cross-document fan-out uses — and adds the
+//! occurrences no component can see: those crossing a component
+//! boundary, found in a copy of the ±`m` window around it, and those
+//! inside the unindexed tail, found where the tail's letters lie.
 //!
 //! **Equivalence invariant** (proptested in `tests/equivalence.rs`):
 //! for any base text, append sequence, seal threshold and compaction
-//! schedule, [`IngestIndex::query`] returns the same occurrences and
-//! value as a from-scratch [`UsiBuilder`] build over the fully
-//! concatenated weighted string.
+//! schedule, [`IngestIndex::query`] returns the same occurrences as a
+//! from-scratch [`UsiBuilder`] build over the fully concatenated
+//! weighted string, and a value within the float contract stated on
+//! [`IngestIndex`].
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 use usi_core::index::IndexSize;
@@ -133,20 +144,54 @@ impl Segment {
     }
 }
 
+/// One pending seal: a copy of the tail's first letters and their
+/// absolute offset, to become one generation-0 segment. Planned under a
+/// read lock, built off-lock, installed under a write lock.
+#[derive(Debug)]
+pub struct SealPlan {
+    offset: usize,
+    text: Vec<u8>,
+    weights: Vec<f64>,
+    segment_dir: Option<PathBuf>,
+}
+
+impl SealPlan {
+    /// Builds the segment over the planned letters, and under
+    /// [`IngestOptions::segment_dir`] writes and maps its file. Pure —
+    /// touches no shared state, so the pipeline's sealer calls it
+    /// without holding any lock.
+    pub fn build(&self, builder: &UsiBuilder) -> UsiIndex {
+        let started = Instant::now();
+        let ws = WeightedString::new(self.text.clone(), self.weights.clone())
+            .expect("tail arrays grow in lockstep");
+        let index = persist_segment(self.segment_dir.as_deref(), self.offset, builder.build(ws));
+        crate::metrics::ingest().seal_seconds.observe_duration(started.elapsed());
+        usi_obs::tracer().record(usi_obs::Span::since(
+            "ingest.seal",
+            started,
+            vec![("letters".into(), self.text.len().to_string())],
+        ));
+        index
+    }
+}
+
 /// One pending compaction: merge `inputs` (the segments at
-/// `[start, start + inputs.len())`, all of `generation`) into a single
-/// segment of `generation + 1`. Built under a read lock, executed
-/// off-lock, installed under a write lock.
+/// `[start, start + inputs.len())`, all of `generation`, starting at
+/// letter `offset`) into a single segment of `generation + 1`. Planned
+/// under a read lock, built off-lock, installed under a write lock.
 #[derive(Debug)]
 pub struct CompactionPlan {
     start: usize,
+    offset: usize,
     generation: u32,
     inputs: Vec<Arc<UsiIndex>>,
+    segment_dir: Option<PathBuf>,
 }
 
 impl CompactionPlan {
     /// Runs the merge build: concatenates the input segments and builds
-    /// one index over them. Pure — touches no shared state, so the
+    /// one index over them, and under [`IngestOptions::segment_dir`]
+    /// writes and maps its file. Pure — touches no shared state, so the
     /// background compactor calls it without holding any lock.
     pub fn build(&self, builder: &UsiBuilder) -> UsiIndex {
         let started = Instant::now();
@@ -160,6 +205,7 @@ impl CompactionPlan {
         let merged = builder.build(
             WeightedString::new(text, weights).expect("segment concatenation keeps the invariant"),
         );
+        let merged = persist_segment(self.segment_dir.as_deref(), self.offset, merged);
         crate::metrics::ingest().compaction_seconds.observe_duration(started.elapsed());
         usi_obs::tracer().record(usi_obs::Span::since(
             "ingest.compaction",
@@ -174,9 +220,45 @@ impl CompactionPlan {
     }
 }
 
+/// The deterministic on-disk name of a segment covering
+/// `[offset, offset + len)` of the full string.
+fn segment_path(dir: &Path, offset: usize, len: usize) -> PathBuf {
+    dir.join(format!("seg-{offset}-{len}.usix"))
+}
+
+/// With a segment directory, writes `index` to its deterministic path
+/// and reopens it as a zero-copy storage view; without one — or if any
+/// I/O step fails — returns the heap-backed index unchanged (the option
+/// trades memory, never correctness).
+fn persist_segment(dir: Option<&Path>, offset: usize, index: UsiIndex) -> UsiIndex {
+    let Some(dir) = dir else {
+        return index;
+    };
+    let path = segment_path(dir, offset, index.text().len());
+    let write = || -> Result<UsiIndex, Box<dyn std::error::Error>> {
+        let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
+        index.write_to(&mut out)?;
+        std::io::Write::flush(&mut out)?;
+        Ok(usi_core::persist::open_mmap(&path)?)
+    };
+    write().unwrap_or(index)
+}
+
 /// The segmented append-only index. See the module docs for the layout;
 /// see [`crate::IngestPipeline`] for the WAL-durable, thread-safe
 /// wrapper.
+///
+/// **Float contract.** Occurrence counts always equal a from-scratch
+/// build's. Values agree to a relative `1e-9`, that is
+/// `|got − want| ≤ 1e-9 · max(|want|, 1)`, the bound the benchmark's
+/// answer check uses (proptested with non-dyadic weights in
+/// `tests/equivalence.rs`). They are not bit-identical in general:
+/// each segment sums an occurrence's weights from its own prefix sums,
+/// which start at the segment's first letter, and a query merges one
+/// partial aggregate per component, so the additions associate
+/// differently from one build over the whole string. When every weight
+/// and partial sum is exact in `f64` (dyadic weights, as in the
+/// equivalence proptests) the values are equal bit for bit.
 #[derive(Debug, Clone)]
 pub struct IngestIndex {
     base: Arc<UsiIndex>,
@@ -314,59 +396,99 @@ impl IngestIndex {
     /// call [`IngestIndex::compact_once`] (or let the pipeline's
     /// background compactor run) to fold full tiers.
     pub fn push(&mut self, letter: u8, weight: f64) {
-        self.tail_text.push(letter);
-        self.tail_weights.push(weight);
-        if self.tail_text.len() >= self.opts.seal_threshold {
-            self.seal();
-        }
+        self.append(&[letter], &[weight]);
     }
 
-    /// Appends a batch of weighted letters.
+    /// Appends a batch of weighted letters, sealing every
+    /// `seal_threshold` letters of the tail as they arrive (first any
+    /// seals already due, as [`IngestIndex::extend_tail`] can leave).
     ///
     /// # Panics
     /// Panics if the slice lengths differ, and a seal panics on a weight
     /// [`check_append`] refuses (callers validate input at the API
     /// boundary).
-    pub fn append(&mut self, text: &[u8], weights: &[f64]) {
+    pub fn append(&mut self, mut text: &[u8], mut weights: &[f64]) {
         assert_eq!(text.len(), weights.len(), "one weight per appended letter");
-        for (&letter, &weight) in text.iter().zip(weights) {
-            self.push(letter, weight);
+        loop {
+            while self.seal_due() {
+                self.seal();
+            }
+            if text.is_empty() {
+                return;
+            }
+            let take = (self.opts.seal_threshold - self.tail_text.len()).min(text.len());
+            self.extend_tail(&text[..take], &weights[..take]);
+            (text, weights) = (&text[take..], &weights[take..]);
         }
     }
 
-    /// Seals the current tail into a fresh generation-0 segment. A
-    /// no-op for an empty tail. With [`IngestOptions::segment_dir`] the
-    /// segment is persisted and remapped zero-copy (see there).
+    /// Copies a batch into the tail without sealing, however long the
+    /// tail grows: the background pipeline's append, whose sealer
+    /// thread seals what falls due ([`IngestIndex::seal_plan`]).
+    ///
+    /// # Panics
+    /// Panics if the slice lengths differ.
+    pub fn extend_tail(&mut self, text: &[u8], weights: &[f64]) {
+        assert_eq!(text.len(), weights.len(), "one weight per appended letter");
+        self.tail_text.extend_from_slice(text);
+        self.tail_weights.extend_from_slice(weights);
+    }
+
+    /// Whether the tail holds at least `seal_threshold` letters.
+    pub fn seal_due(&self) -> bool {
+        self.tail_text.len() >= self.opts.seal_threshold
+    }
+
+    /// Seals the tail's first `seal_threshold` letters (the whole tail,
+    /// if shorter) into a fresh generation-0 segment, inline: plan,
+    /// build and install. A no-op for an empty tail. With
+    /// [`IngestOptions::segment_dir`] the segment is persisted and
+    /// remapped zero-copy (see there).
     pub fn seal(&mut self) {
-        if self.tail_text.is_empty() {
+        let len = self.tail_text.len().min(self.opts.seal_threshold);
+        if len == 0 {
             return;
         }
-        let started = Instant::now();
-        let sealed_len = self.tail_text.len();
-        let offset = self.len() - sealed_len;
-        let ws = WeightedString::new(
-            std::mem::take(&mut self.tail_text),
-            std::mem::take(&mut self.tail_weights),
-        )
-        .expect("tail arrays grow in lockstep");
-        let index = self.remap_segment(self.segment_builder().build(ws), offset);
+        let plan = self.plan_seal(len);
+        let index = plan.build(&self.segment_builder());
+        self.install_seal(&plan, index);
+    }
+
+    /// The next due seal, if any: the tail's first `seal_threshold`
+    /// letters once it holds that many.
+    pub fn seal_plan(&self) -> Option<SealPlan> {
+        self.seal_due().then(|| self.plan_seal(self.opts.seal_threshold))
+    }
+
+    /// Plans a seal of the tail's first `len` letters.
+    fn plan_seal(&self, len: usize) -> SealPlan {
+        SealPlan {
+            offset: self.len() - self.tail_text.len(),
+            text: self.tail_text[..len].to_vec(),
+            weights: self.tail_weights[..len].to_vec(),
+            segment_dir: self.opts.segment_dir.clone(),
+        }
+    }
+
+    /// Installs a built seal: drains its letters from the tail and
+    /// pushes the generation-0 segment. Returns `false` (and changes
+    /// nothing) if the tail no longer starts at the plan's offset with
+    /// at least its letters — only possible when two writers seal the
+    /// same index.
+    pub fn install_seal(&mut self, plan: &SealPlan, index: UsiIndex) -> bool {
+        let len = plan.text.len();
+        if self.len() - self.tail_text.len() != plan.offset || self.tail_text.len() < len {
+            self.discard_unused_file(plan.segment_dir.as_deref(), plan.offset, len);
+            return false;
+        }
+        self.tail_text.drain(..len);
+        self.tail_weights.drain(..len);
         self.segments.push(Segment { index: Arc::new(index), generation: 0 });
         self.seals += 1;
         let m = crate::metrics::ingest();
-        m.seal_seconds.observe_duration(started.elapsed());
         m.seals_total.inc();
         m.segments.inc();
-        usi_obs::tracer().record(usi_obs::Span::since(
-            "ingest.seal",
-            started,
-            vec![("letters".into(), sealed_len.to_string())],
-        ));
-    }
-
-    /// The deterministic on-disk name of a segment covering
-    /// `[offset, offset + len)` of the full string.
-    fn segment_path(dir: &std::path::Path, offset: usize, len: usize) -> PathBuf {
-        dir.join(format!("seg-{offset}-{len}.usix"))
+        true
     }
 
     /// Absolute letter offset of `segments[i]`.
@@ -374,22 +496,16 @@ impl IngestIndex {
         self.base.text().len() + self.segments[..i].iter().map(Segment::len).sum::<usize>()
     }
 
-    /// With a configured segment directory, writes `index` to its
-    /// deterministic path and reopens it as a zero-copy storage view;
-    /// without one — or if any I/O step fails — returns the heap-backed
-    /// index unchanged (the option trades memory, never correctness).
-    fn remap_segment(&self, index: UsiIndex, offset: usize) -> UsiIndex {
-        let Some(dir) = &self.opts.segment_dir else {
-            return index;
-        };
-        let path = Self::segment_path(dir, offset, index.text().len());
-        let write = || -> Result<UsiIndex, Box<dyn std::error::Error>> {
-            let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-            index.write_to(&mut out)?;
-            std::io::Write::flush(&mut out)?;
-            Ok(usi_core::persist::open_mmap(&path)?)
-        };
-        write().unwrap_or(index)
+    /// After a refused install: removes the file its build wrote,
+    /// unless a live segment covers the same letters (and so owns a
+    /// file of the same name and bytes).
+    fn discard_unused_file(&self, dir: Option<&Path>, offset: usize, len: usize) {
+        let Some(dir) = dir else { return };
+        let live = (0..self.segments.len())
+            .any(|i| self.segment_offset(i) == offset && self.segments[i].len() == len);
+        if !live {
+            let _ = std::fs::remove_file(segment_path(dir, offset, len));
+        }
     }
 
     /// The next due tier merge, if any: the lowest generation holding
@@ -419,33 +535,38 @@ impl IngestIndex {
                 Arc::clone(&s.index)
             })
             .collect();
-        Some(CompactionPlan { start, generation, inputs })
+        Some(CompactionPlan {
+            start,
+            offset: self.segment_offset(start),
+            generation,
+            inputs,
+            segment_dir: self.opts.segment_dir.clone(),
+        })
     }
 
     /// Installs an executed plan, replacing its input segments with the
     /// merged one. Returns `false` (and changes nothing) if the
     /// segment list no longer matches the plan — only possible with an
-    /// external writer racing the compactor, since appends never touch
-    /// existing segments.
+    /// external writer racing the compactor, since seals only push
+    /// segments after the plan's window.
     pub fn install_compaction(&mut self, plan: &CompactionPlan, merged: UsiIndex) -> bool {
         let window = self.segments.get(plan.start..plan.start + plan.inputs.len());
         let matches = window.is_some_and(|window| {
             window.iter().zip(&plan.inputs).all(|(s, input)| Arc::ptr_eq(&s.index, input))
         });
         if !matches {
+            self.discard_unused_file(plan.segment_dir.as_deref(), plan.offset, merged.text().len());
             return false;
         }
-        let offset = self.segment_offset(plan.start);
-        let merged = self.remap_segment(merged, offset);
-        if let Some(dir) = self.opts.segment_dir.clone() {
+        if let Some(dir) = &plan.segment_dir {
             // best-effort removal of the replaced segments' files (the
             // merged one covers the same letters; unlinking a file that
             // is still mapped is safe on unix — the pages outlive the
             // name). A leftover file only wastes disk: replay never
             // reads it, segments are reopened by exact path.
-            let mut at = offset;
+            let mut at = plan.offset;
             for input in &plan.inputs {
-                let _ = std::fs::remove_file(Self::segment_path(&dir, at, input.text().len()));
+                let _ = std::fs::remove_file(segment_path(dir, at, input.text().len()));
                 at += input.text().len();
             }
         }
@@ -508,22 +629,6 @@ impl IngestIndex {
         patterns.iter().map(|p| self.query(p)).collect()
     }
 
-    /// The start offsets and lengths of the indexed components (base if
-    /// non-empty, then every segment), in text order.
-    fn component_ranges(&self) -> Vec<(usize, usize)> {
-        let mut ranges = Vec::with_capacity(self.segments.len() + 1);
-        let mut offset = 0usize;
-        if !self.base.text().is_empty() {
-            ranges.push((0, self.base.text().len()));
-        }
-        offset += self.base.text().len();
-        for seg in &self.segments {
-            ranges.push((offset, seg.len()));
-            offset += seg.len();
-        }
-        ranges
-    }
-
     /// Copies `[at, at + len)` of the full string out of whichever
     /// components hold it.
     fn copy_region(&self, at: usize, len: usize, text: &mut Vec<u8>, weights: &mut Vec<f64>) {
@@ -549,93 +654,80 @@ impl IngestIndex {
         copy_from(&self.tail_text, WeightsRef::Slice(&self.tail_weights), offset);
     }
 
-    /// Folds in every occurrence that crosses a component boundary or
-    /// lies inside the unindexed tail: a rolling-hash scan (the same
-    /// Karp–Rabin machinery phase (ii) uses) over the union of the
-    /// boundary windows, each candidate verified by direct comparison.
+    /// Folds in every occurrence no component's index can see, in text
+    /// order: those crossing a component boundary, found in a copy of
+    /// the window around it, then those inside the unindexed tail,
+    /// found where its letters lie.
     fn scan_boundaries(&self, pattern: &[u8]) -> UtilityAccumulator {
         let mut acc = UtilityAccumulator::new();
         let m = pattern.len();
         let total = self.len();
         let last_start = total - m; // inclusive; callers checked m ≤ total
+        let local = self.utility().local;
 
-        // candidate start windows: ±m around every internal component
-        // boundary, plus the whole tail region
-        let ranges = self.component_ranges();
-        let mut windows: Vec<(usize, usize)> = Vec::new(); // [lo, hi] inclusive
-        for &(offset, len) in &ranges {
-            let junction = offset + len;
+        // occurrences crossing the end `junction` of a component start
+        // in [junction − m + 1, junction − 1]; the windows of junctions
+        // closer than `m` overlap, so they merge and each start is
+        // tried once
+        let mut windows: Vec<(usize, usize)> = Vec::new(); // [lo, hi] inclusive, ascending
+        let mut junction = 0usize;
+        let lens =
+            std::iter::once(self.base.text().len()).chain(self.segments.iter().map(Segment::len));
+        for len in lens {
+            junction += len;
             if junction == 0 || junction >= total {
                 continue;
             }
-            // occurrences crossing `junction` start in [junction − m + 1,
-            // junction − 1]
             let lo = (junction + 1).saturating_sub(m);
             let hi = (junction - 1).min(last_start);
-            if lo <= hi {
-                windows.push((lo, hi));
-            }
-        }
-        if !self.tail_text.is_empty() {
-            let tail_start = total - self.tail_text.len();
-            // crossing into, or fully inside, the tail
-            let lo = (tail_start + 1).saturating_sub(m);
-            if lo <= last_start {
-                windows.push((lo, last_start));
-            }
-        }
-        if windows.is_empty() {
-            return acc;
-        }
-        windows.sort_unstable();
-        let mut merged: Vec<(usize, usize)> = Vec::with_capacity(windows.len());
-        for (lo, hi) in windows {
-            match merged.last_mut() {
-                Some((_, last_hi)) if lo <= *last_hi + 1 => *last_hi = (*last_hi).max(hi),
-                _ => merged.push((lo, hi)),
-            }
-        }
-
-        let fingerprinter = self.base.fingerprinter();
-        let pattern_fp = fingerprinter.fingerprint(pattern);
-        let local_kind = self.utility().local;
-        let mut region_text: Vec<u8> = Vec::new();
-        let mut region_weights: Vec<f64> = Vec::new();
-        for (lo, hi) in merged {
-            self.copy_region(lo, hi - lo + m, &mut region_text, &mut region_weights);
-            let Some(mut window) = fingerprinter.rolling(&region_text, m) else {
+            if lo > hi {
                 continue;
-            };
-            loop {
-                let p = window.position();
-                let start = lo + p;
-                if window.value() == pattern_fp
-                    && region_text[p..p + m] == *pattern
-                    && !self.contained_in_component(&ranges, start, m)
-                {
-                    let local = match local_kind {
-                        LocalWindow::Sum => region_weights[p..p + m].iter().sum(),
-                        LocalWindow::Product => region_weights[p..p + m].iter().product(),
-                    };
-                    acc.add(local);
-                }
-                if !window.slide() {
-                    break;
-                }
+            }
+            match windows.last_mut() {
+                Some((_, last_hi)) if lo <= *last_hi + 1 => *last_hi = hi,
+                _ => windows.push((lo, hi)),
             }
         }
+        let (mut text, mut weights) = (Vec::new(), Vec::new());
+        for (lo, hi) in windows {
+            self.copy_region(lo, hi - lo + m, &mut text, &mut weights);
+            add_occurrences(&text, &weights, pattern, local, &mut acc);
+        }
+        add_occurrences(&self.tail_text, &self.tail_weights, pattern, local, &mut acc);
         acc
     }
+}
 
-    /// Whether `[start, start + m)` lies entirely inside one indexed
-    /// component (and was therefore already counted by its index).
-    fn contained_in_component(&self, ranges: &[(usize, usize)], start: usize, m: usize) -> bool {
-        let i = ranges.partition_point(|&(offset, _)| offset <= start);
-        if i == 0 {
-            return false;
+/// Folds the local utility of every occurrence of `pattern` in `text`
+/// into `acc`, left to right. A rolling key over the pattern's first
+/// (up to) four letters picks the candidates and a slice comparison
+/// confirms them; each match's weights are summed (or multiplied) in
+/// text order.
+fn add_occurrences(
+    text: &[u8],
+    weights: &[f64],
+    pattern: &[u8],
+    local: LocalWindow,
+    acc: &mut UtilityAccumulator,
+) {
+    let m = pattern.len();
+    if m == 0 || text.len() < m {
+        return;
+    }
+    let k = m.min(4);
+    let key_of = |bytes: &[u8]| bytes.iter().fold(0u32, |key, &b| (key << 8) | u32::from(b));
+    let mask = u32::MAX >> (32 - 8 * k);
+    let want = key_of(&pattern[..k]);
+    let mut key = key_of(&text[..k - 1]);
+    for start in 0..=text.len() - m {
+        key = ((key << 8) | u32::from(text[start + k - 1])) & mask;
+        if key == want && text[start + k..start + m] == pattern[k..] {
+            let w = &weights[start..start + m];
+            acc.add(match local {
+                LocalWindow::Sum => w.iter().sum(),
+                LocalWindow::Product => w.iter().product(),
+            });
         }
-        let (offset, len) = ranges[i - 1];
-        start >= offset && start + m <= offset + len
     }
 }
 
@@ -820,9 +912,8 @@ mod tests {
 
     #[test]
     fn segment_dir_persists_and_remaps_segments_with_identical_answers() {
-        let dir = std::env::temp_dir().join("usi-ingest-segdir-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = crate::temp_dir::TempDir::new("usi-ingest-segdir-test");
+        let dir = scratch.path().to_path_buf();
 
         let mut rng = StdRng::seed_from_u64(61);
         let ws = random_ws(&mut rng, 120);
@@ -869,6 +960,36 @@ mod tests {
             assert_eq!(mapped.query(pattern), heap.query(pattern), "pattern {pattern:?}");
         }
         check_against_scratch(&mapped, 15, 8, &[text.clone(), b"zzz".to_vec()]);
+    }
+
+    #[test]
+    fn stale_seal_plan_does_not_install() {
+        let scratch = crate::temp_dir::TempDir::new("usi-ingest-stale-seal-test");
+        let ws = WeightedString::uniform(b"ab".to_vec(), 1.0);
+        let mut idx = IngestIndex::new(
+            builder(2, 5).build(ws),
+            IngestOptions {
+                seal_threshold: 2,
+                segment_dir: Some(scratch.path().to_path_buf()),
+                ..IngestOptions::default()
+            },
+        );
+        idx.extend_tail(b"abab", &[1.0; 4]);
+        let plan = idx.seal_plan().expect("four tail letters make a seal due");
+        let index = plan.build(&idx.segment_builder());
+        // seal through another path first: the plan goes stale, and the
+        // live segment keeps the file both builds wrote
+        idx.seal();
+        assert!(!idx.install_seal(&plan, index));
+        assert_eq!((idx.seals(), idx.segments().len(), idx.tail_len()), (1, 1, 2));
+        assert!(scratch.path().join("seg-2-2.usix").exists());
+        // the next plan is current
+        let plan = idx.seal_plan().expect("two tail letters make a seal due");
+        let index = plan.build(&idx.segment_builder());
+        assert!(idx.install_seal(&plan, index));
+        assert_eq!((idx.seals(), idx.tail_len()), (2, 0));
+        assert!(idx.seal_plan().is_none());
+        check_against_scratch(&idx, 2, 5, &[b"ab".to_vec(), b"ba".to_vec(), b"abab".to_vec()]);
     }
 
     #[test]

@@ -44,9 +44,12 @@
 pub mod index;
 pub(crate) mod metrics;
 pub mod pipeline;
+#[cfg(test)]
+#[path = "../tests/temp_dir/mod.rs"]
+mod temp_dir;
 pub mod wal;
 
-pub use index::{check_append, CompactionPlan, IngestIndex, IngestOptions, Segment};
+pub use index::{check_append, CompactionPlan, IngestIndex, IngestOptions, SealPlan, Segment};
 pub use pipeline::{IngestConfig, IngestError, IngestPipeline, IngestStats};
 pub use wal::{
     parse_record_at, read_tail, replay_bytes, replay_file, Replay, TailChunk, Wal, WalError,

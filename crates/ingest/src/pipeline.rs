@@ -5,32 +5,42 @@
 //!
 //! 1. the append is written to the `.usil` log and fsync'd (with
 //!    `sync_wal`, the default) — durability before visibility;
-//! 2. still under the WAL lock, the letters are pushed into the
-//!    in-memory [`IngestIndex`] (sealing the tail into a segment when
-//!    the threshold trips), so WAL order always equals memory order;
-//! 3. the background compactor is nudged (or, without one, due tiers
-//!    are folded inline before returning).
+//! 2. still under the WAL lock, the letters are copied into the
+//!    in-memory [`IngestIndex`]'s tail, so WAL order always equals
+//!    memory order. With `background_compaction` (what `usi serve
+//!    --ingest-wal` runs) the append first waits, if a seal is still
+//!    due from the last batch, until the tail holds fewer than
+//!    `seal_threshold` letters, and returns without sealing; inline
+//!    pipelines seal every due segment and fold due tiers before
+//!    returning;
+//! 3. the background sealer is woken when a seal is due.
 //!
-//! The compactor runs on an owned thread: it snapshots a
-//! [`CompactionPlan`](crate::index::CompactionPlan) under a read lock,
-//! builds the merged segment **off-lock** (queries and appends proceed
-//! meanwhile), and installs it under a brief write lock — so the write
-//! path never stalls behind a merge build.
+//! A background pipeline runs two owned threads beside the append
+//! path. The **sealer** plans a seal of the tail's first
+//! `seal_threshold` letters under a read lock, builds the segment
+//! **off-lock**, and installs it under a brief write lock; the
+//! **compactor** does the same for each due tier merge
+//! ([`CompactionPlan`](crate::index::CompactionPlan)). Seals never
+//! queue behind a merge, and queries and appends proceed while either
+//! builds. Both threads run under Linux's `SCHED_BATCH` policy, so a
+//! build never preempts the request thread that woke it. Until its seal
+//! installs, a batch's letters are answered from the tail, which the
+//! query scans in place.
 //!
 //! Crash recovery: [`IngestPipeline::open`] replays the log over the
-//! base index (truncating a torn tail first). Replay re-runs the same
-//! deterministic seal policy, and the equivalence invariant guarantees
-//! any compaction schedule answers identically, so the recovered
-//! pipeline is observationally the pre-crash one.
+//! base index (truncating a torn tail first). Replay seals inline at
+//! the same deterministic boundaries (every `seal_threshold` letters),
+//! and the equivalence invariant guarantees any compaction schedule
+//! answers identically, so the recovered pipeline is observationally
+//! the pre-crash one.
 
 use crate::index::{check_append, IngestIndex, IngestOptions};
 use crate::wal::{Replay, Wal, WalError};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use usi_core::{QuerySource, UsiIndex, UsiQuery};
 use usi_strings::{LocalWindow, UtilityAccumulator};
 
@@ -48,8 +58,12 @@ pub struct IngestConfig {
     /// Disable only for benchmarks and bulk loads that re-replay on
     /// failure.
     pub sync_wal: bool,
-    /// Run compaction on a background thread instead of inline on the
-    /// append path.
+    /// Run seals and compaction on two background threads per pipeline
+    /// (a sealer and a compactor) instead of inline on the append path.
+    /// An append then returns once its record is durable and its
+    /// letters are in the tail; it waits only while a seal from an
+    /// earlier batch is still due, so the tail stays below
+    /// `seal_threshold` plus one batch.
     pub background_compaction: bool,
     /// Persist sealed/compacted segments under this directory and
     /// serve them through zero-copy storage views; created on open.
@@ -128,7 +142,9 @@ pub struct IngestStats {
     pub base_n: usize,
     /// Sealed segments currently live.
     pub segments: usize,
-    /// Letters buffered in the unsealed tail.
+    /// Letters buffered in the unsealed tail. In a background pipeline
+    /// a seal may still be pending, so this can reach `seal_threshold`
+    /// plus one batch until the sealer installs the segment.
     pub tail_len: usize,
     /// Bytes in the write-ahead log (magic + clean records).
     pub wal_bytes: u64,
@@ -140,33 +156,94 @@ pub struct IngestStats {
     pub last_compaction: Option<Duration>,
 }
 
-/// Signalling between the append path and the background compactor.
+/// Wake-ups between the append path, the sealer and the compactor.
+/// Every flag changes, and every wait checks its condition, under the
+/// one mutex, so no wake-up is lost between a check and its wait.
 #[derive(Debug, Default)]
-struct CompactorSignal {
-    nudge: Mutex<bool>,
+struct Signal {
+    wake: Mutex<Wake>,
     condvar: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Wake {
+    /// A seal may be due.
+    seal: bool,
+    /// A tier merge may be due.
+    compact: bool,
+    /// The pipeline is dropping: both threads exit.
+    shutdown: bool,
+}
+
+impl Signal {
+    fn lock(&self) -> MutexGuard<'_, Wake> {
+        self.wake.lock().expect("pipeline signal lock poisoned")
+    }
+
+    fn wait<'a>(&self, wake: MutexGuard<'a, Wake>) -> MutexGuard<'a, Wake> {
+        self.condvar.wait(wake).expect("pipeline signal lock poisoned")
+    }
+
+    /// Updates the flags and wakes every waiter.
+    fn raise(&self, update: impl FnOnce(&mut Wake)) {
+        update(&mut self.lock());
+        self.condvar.notify_all();
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.lock().shutdown
+    }
+}
+
+/// The in-memory [`IngestIndex`] behind a reader-writer lock with a
+/// turnstile. A writer holds the turnstile while it waits for the
+/// readers in flight to leave, so new readers queue behind it. `std`'s
+/// `RwLock` alone wakes the writer when the last reader leaves but does
+/// not hand it the lock: a reader that queries in a tight loop takes it
+/// back first, and with every core busy a seal's install lost that race
+/// for up to 41 ms at a time.
+#[derive(Debug)]
+struct StateLock {
+    turnstile: Mutex<()>,
+    index: RwLock<IngestIndex>,
+}
+
+impl StateLock {
+    fn new(index: IngestIndex) -> Self {
+        Self { turnstile: Mutex::new(()), index: RwLock::new(index) }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, IngestIndex> {
+        let _turn = self.turnstile.lock().expect("ingest state turnstile poisoned");
+        self.index.read().expect("ingest state lock poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, IngestIndex> {
+        let _turn = self.turnstile.lock().expect("ingest state turnstile poisoned");
+        self.index.write().expect("ingest state lock poisoned")
+    }
 }
 
 /// The WAL-durable ingestion pipeline. Cheap to share behind an `Arc`;
 /// all methods take `&self`.
 #[derive(Debug)]
 pub struct IngestPipeline {
-    state: Arc<RwLock<IngestIndex>>,
+    state: Arc<StateLock>,
     wal: Mutex<Wal>,
     /// The base's local window, which every append is checked against.
     local: LocalWindow,
     background: bool,
-    signal: Arc<CompactorSignal>,
-    shutdown: Arc<AtomicBool>,
-    compactor: Option<JoinHandle<()>>,
+    signal: Arc<Signal>,
+    /// The sealer and the compactor, when `background`.
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl IngestPipeline {
     /// Opens the pipeline: wraps `base`, replays (and tail-truncates)
     /// the log at `wal_path`, and — with `background_compaction` —
-    /// starts the compactor thread. Returns the pipeline and the
-    /// replay report (how many records were recovered, whether a torn
-    /// tail was dropped). A replayed record that [`check_append`]
+    /// starts the sealer and compactor threads. Returns the pipeline and
+    /// the replay report (how many records were recovered, whether a
+    /// torn tail was dropped). A replayed record that [`check_append`]
     /// refuses fails the open with [`IngestError::Input`] naming it.
     pub fn open(
         base: UsiIndex,
@@ -192,95 +269,104 @@ impl IngestPipeline {
         if !config.background_compaction {
             index.compact_to_quiescence();
         }
-        let state = Arc::new(RwLock::new(index));
-        let signal = Arc::new(CompactorSignal::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let compactor = if config.background_compaction {
-            Some(Self::spawn_compactor(&state, &signal, &shutdown)?)
-        } else {
-            None
-        };
-        let pipeline = Self {
-            state,
+        let mut pipeline = Self {
+            state: Arc::new(StateLock::new(index)),
             wal: Mutex::new(wal),
             local,
             background: config.background_compaction,
-            signal,
-            shutdown,
-            compactor,
+            signal: Arc::new(Signal::default()),
+            workers: Vec::new(),
         };
         if pipeline.background {
-            pipeline.nudge_compactor(); // replay may have left full tiers
+            // each worker takes its flag, then runs its step until
+            // nothing is due; every installed seal may fill a tier
+            let sealer = pipeline.spawn_worker(
+                "usi-sealer",
+                |wake| std::mem::take(&mut wake.seal),
+                seal_step,
+                |wake| wake.compact = true,
+            )?;
+            pipeline.workers.push(sealer);
+            let compactor = pipeline.spawn_worker(
+                "usi-compactor",
+                |wake| std::mem::take(&mut wake.compact),
+                compact_step,
+                |_| {},
+            )?;
+            pipeline.workers.push(compactor);
+            // replay may have left full tiers
+            pipeline.signal.raise(|wake| wake.compact = true);
         }
         Ok((pipeline, replay))
     }
 
-    fn spawn_compactor(
-        state: &Arc<RwLock<IngestIndex>>,
-        signal: &Arc<CompactorSignal>,
-        shutdown: &Arc<AtomicBool>,
+    /// Spawns one background worker: it sleeps until `claim` takes its
+    /// flag, then runs `step` (one plan, build and install) until
+    /// `step` finds nothing due, raising `installed` after each install
+    /// so waiters re-check the state. It exits on shutdown.
+    fn spawn_worker(
+        &self,
+        name: &str,
+        claim: fn(&mut Wake) -> bool,
+        step: fn(&StateLock) -> bool,
+        installed: fn(&mut Wake),
     ) -> io::Result<JoinHandle<()>> {
-        let state = Arc::clone(state);
-        let signal = Arc::clone(signal);
-        let shutdown = Arc::clone(shutdown);
-        std::thread::Builder::new().name("usi-compactor".into()).spawn(move || {
+        let state = Arc::clone(&self.state);
+        let signal = Arc::clone(&self.signal);
+        std::thread::Builder::new().name(name.into()).spawn(move || {
+            schedule_as_batch();
             loop {
                 {
-                    let mut nudged = signal.nudge.lock().expect("compactor signal lock poisoned");
-                    while !*nudged && !shutdown.load(Ordering::SeqCst) {
-                        nudged =
-                            signal.condvar.wait(nudged).expect("compactor signal lock poisoned");
+                    let mut wake = signal.lock();
+                    while !wake.shutdown && !claim(&mut wake) {
+                        wake = signal.wait(wake);
                     }
-                    *nudged = false;
+                    if wake.shutdown {
+                        return;
+                    }
                 }
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // fold every due tier: plan under a read lock, build
-                // off-lock, install under a brief write lock
-                loop {
-                    let plan_and_builder = {
-                        let guard = state.read().expect("ingest state lock poisoned");
-                        guard.compaction_plan().map(|plan| (plan, guard.segment_builder()))
-                    };
-                    let Some((plan, builder)) = plan_and_builder else { break };
-                    let merged = plan.build(&builder);
-                    let mut guard = state.write().expect("ingest state lock poisoned");
-                    guard.install_compaction(&plan, merged);
-                    // notify any wait_for_quiescence() sleeper
-                    signal.condvar.notify_all();
+                while !signal.shutting_down() && step(&state) {
+                    signal.raise(installed);
                 }
             }
         })
     }
 
-    fn nudge_compactor(&self) {
-        let mut nudged = self.signal.nudge.lock().expect("compactor signal lock poisoned");
-        *nudged = true;
-        self.signal.condvar.notify_all();
-    }
-
     /// Appends a batch of weighted letters: WAL first (fsync'd under
-    /// the default config), then memory, then compaction. On `Err` the
-    /// in-memory state is unchanged; on `Ok` the append is durable.
+    /// the default config), then memory. On `Err` the in-memory state
+    /// is unchanged; on `Ok` the append is durable and visible to
+    /// queries. A background pipeline returns without sealing; see
+    /// [`IngestConfig::background_compaction`].
     pub fn append(&self, text: &[u8], weights: &[f64]) -> Result<(), IngestError> {
         check_append(text, weights, self.local).map_err(IngestError::Input)?;
         if text.is_empty() {
             return Ok(());
         }
-        {
-            // hold the WAL lock across the state update so WAL order
-            // always equals in-memory order (replay reproduces it)
-            let mut wal = self.wal.lock().expect("wal lock poisoned");
-            wal.append(text, weights)?;
-            let mut state = self.state.write().expect("ingest state lock poisoned");
+        // hold the WAL lock across the state update so WAL order
+        // always equals in-memory order (replay reproduces it)
+        let mut wal = self.wal.lock().expect("wal lock poisoned");
+        wal.append(text, weights)?;
+        if !self.background {
+            let mut state = self.state.write();
             state.append(text, weights);
-            if !self.background {
-                state.compact_to_quiescence();
-            }
+            state.compact_to_quiescence();
+            return Ok(());
         }
-        if self.background {
-            self.nudge_compactor();
+        // backpressure: while an earlier batch's seal is still due, wait
+        // for the sealer (under the WAL lock, so no other append slips
+        // in, but not the state lock, so queries go on)
+        let mut wake = self.signal.lock();
+        while self.state.read().seal_due() {
+            wake = self.signal.wait(wake);
+        }
+        drop(wake);
+        let mut state = self.state.write();
+        state.extend_tail(text, weights);
+        let due = state.seal_due();
+        drop(state);
+        drop(wal);
+        if due {
+            self.signal.raise(|wake| wake.seal = true);
         }
         Ok(())
     }
@@ -292,17 +378,17 @@ impl IngestPipeline {
 
     /// Answers `U(P)` over the full (base + segments + tail) string.
     pub fn query(&self, pattern: &[u8]) -> UsiQuery {
-        self.state.read().expect("ingest state lock poisoned").query(pattern)
+        self.state.read().query(pattern)
     }
 
     /// Raw-accumulator variant for fan-out callers.
     pub fn query_accumulator(&self, pattern: &[u8]) -> (UtilityAccumulator, QuerySource) {
-        self.state.read().expect("ingest state lock poisoned").query_accumulator(pattern)
+        self.state.read().query_accumulator(pattern)
     }
 
     /// Batch variant; answers are in pattern order.
     pub fn query_batch(&self, patterns: &[&[u8]]) -> Vec<UsiQuery> {
-        self.state.read().expect("ingest state lock poisoned").query_batch(patterns)
+        self.state.read().query_batch(patterns)
     }
 
     /// Raw-accumulator batch variant for fan-out callers, under one
@@ -311,14 +397,14 @@ impl IngestPipeline {
         &self,
         patterns: &[&[u8]],
     ) -> Vec<(UtilityAccumulator, QuerySource)> {
-        let state = self.state.read().expect("ingest state lock poisoned");
+        let state = self.state.read();
         patterns.iter().map(|p| state.query_accumulator(p)).collect()
     }
 
     /// Runs `f` over the current in-memory state (read lock held for
     /// the duration).
     pub fn with_state<T>(&self, f: impl FnOnce(&IngestIndex) -> T) -> T {
-        f(&self.state.read().expect("ingest state lock poisoned"))
+        f(&self.state.read())
     }
 
     /// The write-ahead log's path and committed clean length, the view
@@ -332,7 +418,7 @@ impl IngestPipeline {
     /// Bounded-staleness statistics.
     pub fn stats(&self) -> IngestStats {
         let wal_bytes = self.wal.lock().expect("wal lock poisoned").bytes();
-        let state = self.state.read().expect("ingest state lock poisoned");
+        let state = self.state.read();
         IngestStats {
             n: state.len(),
             base_n: state.base().text().len(),
@@ -345,31 +431,86 @@ impl IngestPipeline {
         }
     }
 
-    /// Blocks until no tier is due for merging (or the timeout passes).
-    /// Returns whether quiescence was reached. Meaningful with a
-    /// background compactor; inline pipelines are always quiescent.
+    /// Blocks until no seal and no tier merge is due (or the timeout
+    /// passes). Returns whether quiescence was reached. Meaningful with
+    /// background threads; inline pipelines are always quiescent.
     pub fn wait_for_quiescence(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
+        let mut wake = self.signal.lock();
         loop {
             let due = {
-                let state = self.state.read().expect("ingest state lock poisoned");
-                state.compaction_plan().is_some()
+                let state = self.state.read();
+                state.seal_due() || state.compaction_plan().is_some()
             };
-            if !due {
-                return true;
+            let now = Instant::now();
+            if !due || now >= deadline {
+                return !due;
             }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            let nudged = self.signal.nudge.lock().expect("compactor signal lock poisoned");
-            let _ = self
+            wake = self
                 .signal
                 .condvar
-                .wait_timeout(nudged, Duration::from_millis(10))
-                .expect("compactor signal lock poisoned");
+                .wait_timeout(wake, deadline - now)
+                .expect("pipeline signal lock poisoned")
+                .0;
         }
     }
 }
+
+/// The sealer's step: plans the next due seal under a read lock, builds
+/// it off-lock and installs it under the write lock. Returns whether a
+/// seal was due.
+fn seal_step(state: &StateLock) -> bool {
+    let planned = {
+        let guard = state.read();
+        guard.seal_plan().map(|plan| (plan, guard.segment_builder()))
+    };
+    let Some((plan, builder)) = planned else { return false };
+    let index = plan.build(&builder);
+    state.write().install_seal(&plan, index);
+    true
+}
+
+/// The compactor's step: the same three steps for the next due tier
+/// merge.
+fn compact_step(state: &StateLock) -> bool {
+    let planned = {
+        let guard = state.read();
+        guard.compaction_plan().map(|plan| (plan, guard.segment_builder()))
+    };
+    let Some((plan, builder)) = planned else { return false };
+    let merged = plan.build(&builder);
+    state.write().install_compaction(&plan, merged);
+    true
+}
+
+/// Puts the calling thread under Linux's `SCHED_BATCH` policy: a batch
+/// thread keeps its fair share of the CPU but never preempts a running
+/// thread when it wakes. The append that wakes the sealer has yet to
+/// answer its client; on a busy core a normal sealer would take the CPU
+/// from it and put the whole build before the response. Best effort:
+/// if the kernel refuses, the thread keeps the normal policy.
+#[cfg(target_os = "linux")]
+fn schedule_as_batch() {
+    use std::ffi::c_int;
+
+    /// The kernel's `struct sched_param`.
+    #[repr(C)]
+    struct SchedParam {
+        sched_priority: c_int,
+    }
+    const SCHED_BATCH: c_int = 3;
+    extern "C" {
+        fn sched_setscheduler(pid: c_int, policy: c_int, param: *const SchedParam) -> c_int;
+    }
+    let param = SchedParam { sched_priority: 0 };
+    // SAFETY: pid 0 names the calling thread, and `param` is a valid
+    // `struct sched_param` (priority 0, as SCHED_BATCH requires) that
+    // outlives the call, which only reads it.
+    let _ = unsafe { sched_setscheduler(0, SCHED_BATCH, &param) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn schedule_as_batch() {}
 
 impl usi_core::QueryEngine for IngestPipeline {
     fn query(&self, pattern: &[u8]) -> UsiQuery {
@@ -410,10 +551,11 @@ impl usi_core::QueryEngine for IngestPipeline {
 
 impl Drop for IngestPipeline {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.signal.condvar.notify_all();
-        if let Some(thread) = self.compactor.take() {
-            let _ = thread.join();
+        // under the signal mutex, so a worker between its check and its
+        // wait cannot miss it
+        self.signal.raise(|wake| wake.shutdown = true);
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -421,16 +563,19 @@ impl Drop for IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::path::PathBuf;
     use usi_core::UsiBuilder;
     use usi_strings::WeightedString;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("usi-pipeline-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A fresh directory for one test (removed on drop) and the log
+    /// path `name` in it.
+    fn tmp(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new(&format!("usi-pipeline-tests-{name}"));
+        let path = dir.join(name);
+        (dir, path)
     }
 
     fn base_index(seed: u64, n: usize) -> UsiIndex {
@@ -454,8 +599,7 @@ mod tests {
 
     #[test]
     fn append_then_reopen_replays_to_the_same_answers() {
-        let path = tmp("reopen.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("reopen.usil");
         let (pipeline, replay) = IngestPipeline::open(base_index(1, 100), &path, config()).unwrap();
         assert!(replay.records.is_empty());
         pipeline.append(b"abcabcabc", &[1.0; 9]).unwrap();
@@ -478,8 +622,7 @@ mod tests {
 
     #[test]
     fn background_compactor_reaches_quiescence() {
-        let path = tmp("background.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("background.usil");
         let (pipeline, _) = IngestPipeline::open(
             base_index(2, 50),
             &path,
@@ -512,9 +655,28 @@ mod tests {
     }
 
     #[test]
+    fn background_appends_keep_the_tail_bounded() {
+        let (_dir, path) = tmp("bounded.usil");
+        let config = IngestConfig { background_compaction: true, ..config() };
+        let threshold = config.seal_threshold;
+        let (pipeline, _) = IngestPipeline::open(base_index(6, 50), &path, config).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            let len = rng.gen_range(1..4 * threshold);
+            let letters: Vec<u8> = (0..len).map(|_| b'a' + rng.gen_range(0..3u8)).collect();
+            pipeline.append_uniform(&letters, 1.0).unwrap();
+            // back to back: nothing appends between the acknowledgement
+            // and this read, and the sealer only shortens the tail
+            let tail = pipeline.stats().tail_len;
+            assert!(tail < threshold + len, "tail {tail} after a {len}-letter append");
+        }
+        assert!(pipeline.wait_for_quiescence(Duration::from_secs(30)), "workers stalled");
+        assert!(pipeline.stats().tail_len < threshold);
+    }
+
+    #[test]
     fn invalid_appends_change_nothing() {
-        let path = tmp("invalid.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("invalid.usil");
         let (pipeline, _) = IngestPipeline::open(base_index(3, 30), &path, config()).unwrap();
         let n0 = pipeline.stats().n;
         assert!(matches!(pipeline.append(b"ab", &[1.0]), Err(IngestError::Input(_))));
@@ -534,8 +696,7 @@ mod tests {
 
     #[test]
     fn non_positive_weights_on_a_product_doc_are_refused() {
-        let path = tmp("product.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("product.usil");
         let (pipeline, _) = IngestPipeline::open(product_base(), &path, config()).unwrap();
         let before = pipeline.query(b"abc");
         // eight letters fill the tail to the seal threshold: were they
@@ -556,8 +717,7 @@ mod tests {
     #[test]
     fn replaying_a_non_positive_product_weight_is_an_error() {
         // a log written before appends were checked against the local
-        let path = tmp("product-replay.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("product-replay.usil");
         let (mut wal, _) = Wal::open(&path, false).unwrap();
         wal.append(b"cab", &[0.5; 3]).unwrap();
         wal.append(b"abababab", &[0.0; 8]).unwrap();
@@ -571,8 +731,7 @@ mod tests {
 
     #[test]
     fn stats_reflect_the_layout() {
-        let path = tmp("stats.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("stats.usil");
         let (pipeline, _) = IngestPipeline::open(base_index(4, 40), &path, config()).unwrap();
         pipeline.append_uniform(b"abcabcabcab", 1.0).unwrap(); // 11 letters, threshold 8
         let stats = pipeline.stats();

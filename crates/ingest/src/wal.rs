@@ -413,11 +413,14 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("usi-wal-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A fresh directory for one test (removed on drop) and the log
+    /// path `name` in it.
+    fn tmp(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new(&format!("usi-wal-tests-{name}"));
+        let path = dir.join(name);
+        (dir, path)
     }
 
     #[test]
@@ -429,8 +432,7 @@ mod tests {
 
     #[test]
     fn append_then_replay_roundtrips() {
-        let path = tmp("roundtrip.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("roundtrip.usil");
         let (mut wal, replay) = Wal::open(&path, false).unwrap();
         assert!(replay.records.is_empty());
         wal.append(b"abc", &[1.0, 2.0, 3.0]).unwrap();
@@ -452,8 +454,7 @@ mod tests {
 
     #[test]
     fn reopen_appends_after_existing_records() {
-        let path = tmp("reopen.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("reopen.usil");
         let (mut wal, _) = Wal::open(&path, false).unwrap();
         wal.append(b"ab", &[1.0, 1.0]).unwrap();
         drop(wal);
@@ -468,8 +469,7 @@ mod tests {
 
     #[test]
     fn oversized_appends_split_into_replayable_records() {
-        let path = tmp("split.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("split.usil");
         let (mut wal, _) = Wal::open(&path, false).unwrap();
         let n = MAX_RECORD_LETTERS + 17;
         let text: Vec<u8> = (0..n).map(|i| b'a' + (i % 3) as u8).collect();
@@ -487,8 +487,7 @@ mod tests {
 
     #[test]
     fn torn_tail_recovers_to_clean_prefix() {
-        let path = tmp("torn.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("torn.usil");
         let (mut wal, _) = Wal::open(&path, false).unwrap();
         wal.append(b"abc", &[1.0; 3]).unwrap();
         let clean = wal.bytes();
@@ -517,8 +516,7 @@ mod tests {
 
     #[test]
     fn corrupt_checksum_stops_replay() {
-        let path = tmp("corrupt.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("corrupt.usil");
         let (mut wal, _) = Wal::open(&path, false).unwrap();
         wal.append(b"abc", &[1.0; 3]).unwrap();
         wal.append(b"def", &[1.0; 3]).unwrap();
@@ -534,8 +532,7 @@ mod tests {
 
     #[test]
     fn read_tail_ships_whole_records_by_offset() {
-        let path = tmp("tail.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("tail.usil");
         let (mut wal, _) = Wal::open(&path, false).unwrap();
         wal.append(b"abc", &[1.0; 3]).unwrap();
         let first_end = wal.bytes();
@@ -573,7 +570,7 @@ mod tests {
 
     #[test]
     fn non_wal_files_fail_loudly() {
-        let path = tmp("notawal.usil");
+        let (_dir, path) = tmp("notawal.usil");
         std::fs::write(&path, b"definitely not a log").unwrap();
         assert!(matches!(replay_file(&path), Err(WalError::BadMagic)));
         assert!(matches!(Wal::open(&path, false), Err(WalError::BadMagic)));
@@ -581,8 +578,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_the_empty_log() {
-        let path = tmp("never-created.usil");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("never-created.usil");
         let replay = replay_file(&path).unwrap();
         assert!(replay.records.is_empty());
         assert!(!replay.truncated);

@@ -17,6 +17,9 @@ use usi_ingest::wal::{encode_records, MAGIC};
 use usi_ingest::{replay_bytes, IngestConfig, IngestPipeline, Wal};
 use usi_strings::WeightedString;
 
+mod temp_dir;
+use temp_dir::TempDir;
+
 fn letters(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(prop_oneof![Just(b'x'), Just(b'y'), Just(b'z')], 1..max_len)
 }
@@ -70,11 +73,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let batches = random_batches(&mut StdRng::seed_from_u64(seed), &batch_lens);
-        let dir = std::env::temp_dir().join("usi-wal-torture");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("parser-{seed:016x}.usil"));
-        let (bytes, _) = write_log(&path, &batches);
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("usi-wal-torture-parser");
+        let (bytes, _) = write_log(&dir.join("parser.usil"), &batches);
+        drop(dir);
 
         for cut in 0..=bytes.len() {
             let replay = replay_bytes(&bytes[..cut]).unwrap_or_else(|e| {
@@ -105,9 +106,8 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let batches = random_batches(&mut rng, &batch_lens);
-        let dir = std::env::temp_dir().join("usi-wal-torture");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("pipeline-{seed:016x}.usil"));
+        let dir = TempDir::new("usi-wal-torture-pipeline");
+        let path = dir.join("pipeline.usil");
         let (bytes, prefix_lens) = write_log(&path, &batches);
 
         let base_weights: Vec<f64> =
@@ -161,7 +161,6 @@ proptest! {
             }
             drop(pipeline);
         }
-        let _ = std::fs::remove_file(&path);
     }
 }
 

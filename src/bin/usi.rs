@@ -68,7 +68,7 @@
 //! are remote shards, merged through the usual `"doc": "*"` path.
 
 use std::fs::File;
-use std::io::{BufRead, BufWriter, Read};
+use std::io::{BufRead, BufWriter, Read, Write};
 use std::net::TcpListener;
 use std::path::Path;
 use std::process::exit;
@@ -840,10 +840,13 @@ fn cmd_topk(args: &Args) {
         args.flag("min-len").map_or(1, |s| s.parse().unwrap_or_else(|_| die("bad --min-len")));
     let sa = suffix_array(&text);
     let lcp = lcp_array(&text, &sa);
-    for item in TopKOracle::new(text.len(), &sa, &lcp).top_k_in(k, min_len..=u32::MAX) {
-        let sub = item.bytes(&text, &sa);
-        println!("{}\t{}", item.freq(), display_bytes(&sub[..sub.len().min(60)]));
-    }
+    write_listing(|out| {
+        for item in TopKOracle::new(text.len(), &sa, &lcp).top_k_in(k, min_len..=u32::MAX) {
+            let sub = item.bytes(&text, &sa);
+            writeln!(out, "{}\t{}", item.freq(), display_bytes(&sub[..sub.len().min(60)]))?;
+        }
+        Ok(())
+    });
 }
 
 fn cmd_tradeoff(args: &Args) {
@@ -857,9 +860,24 @@ fn cmd_tradeoff(args: &Args) {
     let lcp = lcp_array(&text, &sa);
     let curve = TopKOracle::new(text.len(), &sa, &lcp).tradeoff_curve();
     let step = (curve.len() / points.max(1)).max(1);
-    println!("tau\tK\tL");
-    for p in curve.iter().step_by(step) {
-        println!("{}\t{}\t{}", p.tau, p.k, p.distinct_lengths);
+    write_listing(|out| {
+        writeln!(out, "tau\tK\tL")?;
+        for p in curve.iter().step_by(step) {
+            writeln!(out, "{}\t{}\t{}", p.tau, p.k, p.distinct_lengths)?;
+        }
+        Ok(())
+    });
+}
+
+/// Writes a listing to stdout through one buffer. A reader that closes
+/// the pipe early (`usi topk … | head`) ends the listing with exit 0;
+/// any other write error is fatal.
+fn write_listing(rows: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    match rows(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(e) => die(&format!("cannot write to stdout: {e}")),
     }
 }
 

@@ -129,6 +129,41 @@ fn stats_and_topk_and_tradeoff() {
     );
 }
 
+#[test]
+fn topk_ends_with_exit_0_when_its_reader_closes_the_pipe() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    // 3 000 pseudo-random letters: 100 000 rows are far more than a
+    // pipe buffer holds, so the listing outlives its reader
+    let text_path = tmp("topk-pipe.txt");
+    let mut state = 1u64;
+    let text: Vec<u8> = (0..3000)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            b"acgt"[(state >> 62) as usize]
+        })
+        .collect();
+    std::fs::write(&text_path, text).unwrap();
+    let mut child = usi()
+        .args(["topk", text_path.to_str().unwrap(), "--k", "100000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // `| head -2`: read two rows, then close the pipe
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    for _ in 0..2 {
+        let mut row = String::new();
+        reader.read_line(&mut row).unwrap();
+        assert!(row.ends_with('\n'), "{row:?}");
+    }
+    drop(reader);
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{:?}: {}", out.status, String::from_utf8_lossy(&out.stderr));
+    assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 /// The `|`-separated rows of `table` as lines, spaces turned into tabs.
 fn rows(table: &str) -> String {
     table.replace('|', "\n").replace(' ', "\t") + "\n"

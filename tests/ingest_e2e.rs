@@ -15,11 +15,9 @@ use usi::server::{read_response, serve};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn tmp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("usi-ingest-e2e").join(name);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+#[path = "../crates/ingest/tests/temp_dir/mod.rs"]
+mod temp_dir;
+use temp_dir::TempDir;
 
 /// Dyadic weights: aggregates are exact in f64, so recovered answers
 /// can be compared with `==` against a from-scratch build.
@@ -63,9 +61,8 @@ fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
 
 #[test]
 fn kill_and_replay_restores_the_served_state() {
-    let dir = tmp_dir("kill-replay");
+    let dir = TempDir::new("usi-ingest-e2e-kill-replay");
     let wal_path = dir.join("doc.usil");
-    let _ = std::fs::remove_file(&wal_path);
     let (base, mut full_text, mut full_weights) = build_base(5, 300);
 
     let config = IngestConfig {
@@ -124,9 +121,8 @@ fn kill_and_replay_restores_the_served_state() {
 
 #[test]
 fn http_appends_survive_a_server_kill() {
-    let dir = tmp_dir("http-kill");
+    let dir = TempDir::new("usi-ingest-e2e-http-kill");
     let wal_path = dir.join("live.usil");
-    let _ = std::fs::remove_file(&wal_path);
     let (base, base_text, base_weights) = build_base(9, 120);
 
     let config = IngestConfig {
@@ -193,9 +189,8 @@ fn http_appends_survive_a_server_kill() {
 
 #[test]
 fn non_positive_product_weight_gets_a_400_and_the_doc_keeps_serving() {
-    let dir = tmp_dir("product-weight");
+    let dir = TempDir::new("usi-ingest-e2e-product-weight");
     let wal_path = dir.join("doc.usil");
-    let _ = std::fs::remove_file(&wal_path);
     let base = UsiBuilder::new()
         .with_k(10)
         .with_local_window(usi::strings::LocalWindow::Product)
