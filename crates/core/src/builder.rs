@@ -143,7 +143,8 @@ impl UsiBuilder {
         let utility = GlobalUtility::with_parts(self.aggregator, self.local);
 
         // Phase (iii) structures first: phases (i) and (ii) read the SA,
-        // and phase (ii) reads PSW.
+        // and phase (ii) reads the dense PSW. The index keeps only every
+        // 8th sum of a sum index; `from_parts` drops the rest.
         let t0 = Instant::now();
         let sa = suffix_array(ws.text());
         let psw = utility.local_index(ws.weights());

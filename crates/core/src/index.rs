@@ -9,7 +9,13 @@
 //!   (standing in for the suffix tree: `P`'s SA interval lists the same
 //!   occurrences as the leaves below `P`'s locus);
 //! * `PSW`: prefix sums of the weights, giving any occurrence's local
-//!   utility in `O(1)`.
+//!   utility. A sum index keeps one sum per `B` = 8 letters
+//!   (1 B/letter instead of 8) and adds up the rest of a block on
+//!   demand, in the dense array's order, so every local utility, every
+//!   `H` entry and every answer has the bits the dense array gives; an
+//!   occurrence then costs `O(B)`. A product index keeps the dense
+//!   prefix sums of the logarithms, since rebuilding them would take a
+//!   logarithm per weight.
 //!
 //! Construction phases (mirroring the paper):
 //!
@@ -30,18 +36,19 @@
 //!    estimates, which carry no intervals, a rolling fingerprint slides
 //!    over `S` once per length, aggregating the windows whose
 //!    fingerprint is in the length's witness set: `O(n · L_K)`.
-//! 3. **Phase (iii)** — build `SA(S)` and `PSW`.
+//! 3. **Phase (iii)** — build `SA(S)` and `PSW`. Phase (ii) reads the
+//!    dense `PSW`; the index keeps its samples and drops it.
 //!
 //! A query for `P` of length `m` computes `P`'s fingerprint (`O(m)`),
 //! probes `H`, and on a miss falls back to the suffix array plus `PSW`
-//! (`O(m log n + occ)`, with `occ ≤ τ_K` for exact-built indexes).
+//! (`O(m log n + occ · B)`, with `occ ≤ τ_K` for exact-built indexes).
 
-use crate::storage::{IndexView, SaRef, WeightsRef, H_ENTRY_BYTES};
+use crate::storage::{le_f64s, IndexView, SaRef, WeightsRef, H_ENTRY_BYTES};
 use crate::topk::{TopKEstimate, TopKSubstring};
 use std::time::Duration;
 use usi_strings::{
-    Fingerprinter, FxHashMap, FxHashSet, GlobalUtility, HeapSize, LocalIndex, UtilityAccumulator,
-    WeightedString,
+    Fingerprinter, FxHashMap, FxHashSet, GlobalUtility, HeapSize, LocalIndex, LocalWindow,
+    UtilityAccumulator, WeightedString,
 };
 use usi_suffix::{SaAccess, SuffixArraySearcher};
 
@@ -107,7 +114,9 @@ pub struct IndexSize {
     pub weights: usize,
     /// The suffix array.
     pub suffix_array: usize,
-    /// The `PSW` array.
+    /// `PSW` as the index keeps it: one `f64` sample per 8 letters
+    /// (`8 · (⌊n/8⌋ + 1)` bytes) for sum locals, the dense `n + 1` sums
+    /// of the logarithms for product locals.
     pub psw: usize,
     /// The hash table `H` (keys, values, control bytes).
     pub hash_table: usize,
@@ -123,6 +132,110 @@ impl IndexSize {
 /// Hash-table key: (substring length, fingerprint). Keying on the length
 /// too makes cross-length fingerprint collisions impossible.
 type HKey = (u32, u64);
+
+/// Letters per block of a sum index's `PSW`: the index keeps the prefix
+/// sum at every multiple of it, 1 B/letter against the dense array's 8,
+/// and a lookup adds at most 7 weights to a sample.
+pub(crate) const PSW_BLOCK: usize = 8;
+
+/// `PSW` as an index keeps it, built or opened alike.
+#[derive(Debug, Clone)]
+pub(crate) enum Locals {
+    /// Sum locals: `PSW[j]` at `j = 0, 8, 16, …` (`⌊n/8⌋ + 1` of them).
+    /// Any other `PSW[j]` is its block's sample plus the block's weights
+    /// up to `j`, added in order: the additions the dense array's loop
+    /// makes, so the value has the same bits.
+    Sampled(Vec<f64>),
+    /// Product locals: the dense prefix sums of the logarithms.
+    Logs(LocalIndex),
+}
+
+impl Locals {
+    /// From the dense array phase (ii) read: its every 8th sum for sum
+    /// locals (the dense array is then dropped), all of it for products.
+    fn from_dense(dense: LocalIndex) -> Self {
+        match dense.kind() {
+            LocalWindow::Sum => {
+                let sums = dense.prefix_sums();
+                let mut samples = Vec::with_capacity(sums.len().div_ceil(PSW_BLOCK));
+                samples.extend(sums.iter().step_by(PSW_BLOCK));
+                Self::Sampled(samples)
+            }
+            LocalWindow::Product => Self::Logs(dense),
+        }
+    }
+
+    /// From one pass over the weights (an index open), accumulated as
+    /// the dense array's loop accumulates; no dense array is allocated
+    /// for sum locals.
+    pub(crate) fn from_weights(weights: impl IntoIterator<Item = f64>, kind: LocalWindow) -> Self {
+        match kind {
+            LocalWindow::Sum => {
+                let weights = weights.into_iter();
+                let mut samples = Vec::with_capacity(weights.size_hint().0 / PSW_BLOCK + 1);
+                let mut acc = 0.0f64;
+                samples.push(acc);
+                for (j, w) in (1..).zip(weights) {
+                    acc += w;
+                    if j % PSW_BLOCK == 0 {
+                        samples.push(acc);
+                    }
+                }
+                Self::Sampled(samples)
+            }
+            LocalWindow::Product => Self::Logs(LocalIndex::from_weights(weights, kind)),
+        }
+    }
+
+    /// `PSW[j]` of a sampled array: its block's sample plus the block's
+    /// weights up to `j`.
+    #[inline]
+    fn sampled_prefix<W: WeightRun>(samples: &[f64], weights: W, j: usize) -> f64 {
+        let block = j / PSW_BLOCK;
+        weights.add_run(samples[block], block * PSW_BLOCK, j)
+    }
+
+    /// `u(i, len) = PSW[i + len] − PSW[i]` of a sampled array: two
+    /// independent walks, each from its own block's sample.
+    #[inline]
+    fn sampled_local<W: WeightRun>(samples: &[f64], weights: W, i: usize, len: usize) -> f64 {
+        Self::sampled_prefix(samples, weights, i + len) - Self::sampled_prefix(samples, weights, i)
+    }
+}
+
+impl HeapSize for Locals {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Self::Sampled(samples) => samples.heap_bytes(),
+            Self::Logs(logs) => logs.heap_bytes(),
+        }
+    }
+}
+
+/// The weights a sampled `PSW` adds up, in one backing chosen once per
+/// query (as the suffix-array searcher is), not once per weight.
+trait WeightRun: Copy {
+    /// `acc + w[from] + … + w[to − 1]`, added in order.
+    fn add_run(self, acc: f64, from: usize, to: usize) -> f64;
+}
+
+impl WeightRun for &[f64] {
+    #[inline]
+    fn add_run(self, acc: f64, from: usize, to: usize) -> f64 {
+        self[from..to].iter().fold(acc, |acc, &w| acc + w)
+    }
+}
+
+/// The `8 · n` little-endian bytes of a storage view's weight section.
+#[derive(Clone, Copy)]
+struct LeWeights<'a>(&'a [u8]);
+
+impl WeightRun for LeWeights<'_> {
+    #[inline]
+    fn add_run(self, acc: f64, from: usize, to: usize) -> f64 {
+        le_f64s(&self.0[8 * from..8 * to]).fold(acc, |acc, w| acc + w)
+    }
+}
 
 /// What actually holds the payload sections (text, weights, suffix
 /// array, cached-substring table): owned heap structures for indexes
@@ -146,7 +259,7 @@ enum Payload {
 #[derive(Debug, Clone)]
 pub struct UsiIndex {
     payload: Payload,
-    psw: LocalIndex,
+    psw: Locals,
     fingerprinter: Fingerprinter,
     utility: GlobalUtility,
     /// The `L_K` distinct lengths present in `H`, sorted. A query whose
@@ -158,7 +271,9 @@ pub struct UsiIndex {
 }
 
 impl UsiIndex {
-    /// Assembles an index from prebuilt parts; used by the builder.
+    /// Assembles an index from prebuilt parts; used by the builder,
+    /// which hands over the dense `PSW` its phase (ii) read. A sum
+    /// index keeps every 8th sum of it.
     pub(crate) fn from_parts(
         ws: WeightedString,
         sa: Vec<u32>,
@@ -173,7 +288,7 @@ impl UsiIndex {
         cached_lengths.dedup();
         Self {
             payload: Payload::Owned { ws, sa, h },
-            psw,
+            psw: Locals::from_dense(psw),
             fingerprinter,
             utility,
             cached_lengths,
@@ -185,7 +300,7 @@ impl UsiIndex {
     /// the persistence layer's zero-copy open path.
     pub(crate) fn from_view(
         view: IndexView,
-        psw: LocalIndex,
+        psw: Locals,
         fingerprinter: Fingerprinter,
         utility: GlobalUtility,
         cached_lengths: Vec<u32>,
@@ -287,7 +402,8 @@ impl UsiIndex {
     /// Index-size breakdown. For storage-backed indexes the text,
     /// weights, suffix-array and hash-table numbers are the section
     /// sizes in the backing bytes (paged in lazily by the kernel when
-    /// mapped); `psw` is the one structure built on load.
+    /// mapped); `psw`, the samples of a sum index, is the one structure
+    /// built on load.
     pub fn size_breakdown(&self) -> IndexSize {
         match &self.payload {
             Payload::Owned { ws, sa, h } => IndexSize {
@@ -324,24 +440,28 @@ impl UsiIndex {
     /// occurrences before extracting an aggregate.
     pub fn query_accumulator(&self, pattern: &[u8]) -> (UtilityAccumulator, QuerySource) {
         match &self.payload {
-            Payload::Owned { ws, sa, .. } => {
-                self.query_accumulator_with(&SuffixArraySearcher::new(ws.text(), sa), pattern)
-            }
+            Payload::Owned { ws, sa, .. } => self.query_accumulator_with(
+                &SuffixArraySearcher::new(ws.text(), sa),
+                ws.weights(),
+                pattern,
+            ),
             Payload::View(view) => self.query_accumulator_with(
                 &SuffixArraySearcher::with_access(view.text(), view.sa()),
+                LeWeights(view.weight_bytes()),
                 pattern,
             ),
         }
     }
 
-    /// Query body with the suffix-array searcher hoisted out, so batch
-    /// callers set it up once per batch instead of once per pattern.
-    /// Generic over the searcher's backing: heap-built indexes pass a
-    /// `&[u32]` searcher (monomorphised to the pre-redesign code),
-    /// storage views pass a byte-section one.
-    fn query_accumulator_with<A: SaAccess>(
+    /// Query body with the suffix-array searcher and the weights
+    /// hoisted out, so batch callers set them up once per batch instead
+    /// of once per pattern. Generic over both backings: heap-built
+    /// indexes pass a `&[u32]` searcher and `&[f64]` weights, storage
+    /// views their byte sections.
+    fn query_accumulator_with<A: SaAccess, W: WeightRun>(
         &self,
         searcher: &SuffixArraySearcher<'_, A>,
+        weights: W,
         pattern: &[u8],
     ) -> (UtilityAccumulator, QuerySource) {
         let m = pattern.len();
@@ -358,8 +478,18 @@ impl UsiIndex {
         }
         let mut acc = UtilityAccumulator::new();
         if let Some(range) = searcher.interval(pattern) {
-            for r in range {
-                acc.add(self.psw.local(searcher.access().at(r) as usize, m));
+            let sa = searcher.access();
+            match &self.psw {
+                Locals::Sampled(samples) => {
+                    for r in range {
+                        acc.add(Locals::sampled_local(samples, weights, sa.at(r) as usize, m));
+                    }
+                }
+                Locals::Logs(logs) => {
+                    for r in range {
+                        acc.add(logs.local(sa.at(r) as usize, m));
+                    }
+                }
             }
         }
         (acc, QuerySource::TextIndex)
@@ -393,20 +523,24 @@ impl UsiIndex {
         patterns: &[&[u8]],
     ) -> Vec<(UtilityAccumulator, QuerySource)> {
         match &self.payload {
-            Payload::Owned { ws, sa, .. } => {
-                self.accumulate_batch(&SuffixArraySearcher::new(ws.text(), sa), patterns)
-            }
+            Payload::Owned { ws, sa, .. } => self.accumulate_batch(
+                &SuffixArraySearcher::new(ws.text(), sa),
+                ws.weights(),
+                patterns,
+            ),
             Payload::View(view) => self.accumulate_batch(
                 &SuffixArraySearcher::with_access(view.text(), view.sa()),
+                LeWeights(view.weight_bytes()),
                 patterns,
             ),
         }
     }
 
     /// Batch body shared by both payload backings.
-    fn accumulate_batch<A: SaAccess>(
+    fn accumulate_batch<A: SaAccess, W: WeightRun>(
         &self,
         searcher: &SuffixArraySearcher<'_, A>,
+        weights: W,
         patterns: &[&[u8]],
     ) -> Vec<(UtilityAccumulator, QuerySource)> {
         let mut first_seen: FxHashMap<&[u8], usize> = FxHashMap::default();
@@ -419,7 +553,7 @@ impl UsiIndex {
                 }
                 std::collections::hash_map::Entry::Vacant(entry) => {
                     entry.insert(i);
-                    out.push(self.query_accumulator_with(searcher, pattern));
+                    out.push(self.query_accumulator_with(searcher, weights, pattern));
                 }
             }
         }
@@ -569,5 +703,90 @@ impl UsiIndex {
 impl HeapSize for UsiIndex {
     fn heap_bytes(&self) -> usize {
         self.size_breakdown().total()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Every `u(i, len)` of `weights` (`len` 0 and to the end, from and
+    /// to every block boundary) read from the sampled `PSW`, both as a
+    /// build makes it and as an open makes it, and over both weight
+    /// backings, against the dense array phase (ii) reads: same bits.
+    fn check_sampled_equals_dense(weights: &[f64]) -> Result<(), TestCaseError> {
+        let n = weights.len();
+        let dense = LocalIndex::new(weights, LocalWindow::Sum);
+        let Locals::Sampled(built) = Locals::from_dense(dense.clone()) else {
+            panic!("a sum index samples its PSW");
+        };
+        let Locals::Sampled(opened) =
+            Locals::from_weights(weights.iter().copied(), LocalWindow::Sum)
+        else {
+            panic!("a sum index samples its PSW");
+        };
+        prop_assert_eq!(built.len(), n / PSW_BLOCK + 1);
+        prop_assert_eq!(Locals::Sampled(built.clone()).heap_bytes(), 8 * (n / PSW_BLOCK + 1));
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(&built), bits(&opened));
+        let bytes: Vec<u8> = weights.iter().flat_map(|w| w.to_le_bytes()).collect();
+        for i in 0..=n {
+            for len in 0..=n - i {
+                let want = dense.local(i, len).to_bits();
+                let from_slice = Locals::sampled_local(&built, weights, i, len);
+                let from_bytes = Locals::sampled_local(&opened, LeWeights(&bytes), i, len);
+                prop_assert!(from_slice.to_bits() == want, "slice: i={i} len={len} n={n}");
+                prop_assert!(from_bytes.to_bits() == want, "bytes: i={i} len={len} n={n}");
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random finite weights, negative ones and HUM's non-dyadic
+        /// grid `{0.7, 0.75, …, 1.0}` among them, over lengths that are
+        /// and are not multiples of the block, `n = 0` included.
+        #[test]
+        fn sampled_psw_equals_dense_bit_for_bit(
+            blocks in 0usize..10,
+            extra in 0usize..PSW_BLOCK,
+            grid in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut draw = |n: usize| -> Vec<f64> {
+                (0..n)
+                    .map(|_| {
+                        if grid {
+                            0.7 + 0.05 * rng.gen_range(0..7) as f64
+                        } else {
+                            rng.gen_range(-1e3..1e3)
+                        }
+                    })
+                    .collect()
+            };
+            for n in [0, PSW_BLOCK * blocks, PSW_BLOCK * blocks + extra] {
+                check_sampled_equals_dense(&draw(n))?;
+            }
+        }
+    }
+
+    #[test]
+    fn product_locals_keep_the_dense_logarithms() {
+        let weights = [0.9, 0.5, 0.99, 0.7, 1.0, 0.85, 0.3, 0.6, 0.45];
+        let dense = LocalIndex::new(&weights, LocalWindow::Product);
+        let Locals::Logs(kept) = Locals::from_dense(dense.clone()) else {
+            panic!("a product index keeps the dense logarithms");
+        };
+        assert_eq!(kept, dense);
+        let Locals::Logs(opened) =
+            Locals::from_weights(weights.iter().copied(), LocalWindow::Product)
+        else {
+            panic!("a product index keeps the dense logarithms");
+        };
+        assert_eq!(opened, dense);
     }
 }

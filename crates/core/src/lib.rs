@@ -42,6 +42,9 @@ pub mod metrics;
 pub mod oracle;
 pub mod persist;
 pub mod storage;
+#[cfg(test)]
+#[path = "../../ingest/tests/temp_dir/mod.rs"]
+mod temp_dir;
 pub mod topk;
 
 pub use approx::{approximate_top_k, ApproxConfig, ApproxResult};

@@ -12,7 +12,8 @@
 //! u64    n
 //! [u8]   text (n bytes)
 //! [f64]  weights (n)
-//! [u32]  suffix array (n)          — PSW is recomputed on load
+//! [u32]  suffix array (n)          — PSW is not stored: the load
+//!                                    samples it from the weights
 //! u64    |H|
 //! |H| ×  (u32 len, u64 fp, f64 sum, f64 min, f64 max, u64 count)
 //!        — sorted by (len, fp), so the encoding is canonical: indexes
@@ -30,12 +31,12 @@
 //! corrupted file fails loudly instead of producing wrong answers or
 //! asking for memory it names but does not hold.
 
-use crate::index::{BuildStats, UsiIndex};
+use crate::index::{BuildStats, Locals, UsiIndex};
 use crate::storage::{le_f64s, le_u32s, IndexStorage, IndexView, H_ENTRY_BYTES};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
-use usi_strings::{Fingerprinter, GlobalUtility, LocalIndex};
+use usi_strings::{Fingerprinter, GlobalUtility};
 
 const MAGIC: [u8; 8] = *b"USIX\x01\x00\x00\x00";
 
@@ -156,12 +157,15 @@ impl UsiIndex {
     /// requires it).
     ///
     /// Each section is read once: the weight checks ride on the pass
-    /// that builds the `PSW` prefix sums, which the format does not
-    /// store and which are the only load-time allocation kept in
-    /// proportion to the corpus (the permutation check borrows an
-    /// `n/8`-byte bitset for its pass). Each
-    /// successful validation is timed in `usi_index_open_seconds{mode}`,
-    /// `mode` being `mmap` for a file mapping and `read` for heap bytes.
+    /// that samples the `PSW` prefix sums, which the format does not
+    /// store. For sum locals that pass keeps one sum per 8 letters
+    /// (1 B/letter) and allocates nothing dense; product locals keep
+    /// the dense sums of the logarithms (8 B/letter). That is the only
+    /// load-time allocation kept in proportion to the corpus (the
+    /// permutation check borrows an `n/8`-byte bitset for its pass).
+    /// Each successful validation is timed in
+    /// `usi_index_open_seconds{mode}`, `mode` being `mmap` for a file
+    /// mapping and `read` for heap bytes.
     pub fn from_storage(storage: Arc<IndexStorage>) -> Result<Self, PersistError> {
         let started = std::time::Instant::now();
         let mode = if storage.is_mapped() { "mmap" } else { "read" };
@@ -222,7 +226,7 @@ impl UsiIndex {
             IndexView::new(Arc::clone(&storage), n, text_off, weights_off, sa_off, h_off, h_len);
 
         // Weights, read once: PSW is the one derived structure the
-        // format does not store, and the pass that rebuilds it (in the
+        // format does not store, and the pass that samples it (in the
         // builder's accumulation order, so bit-identical) also checks
         // that every weight is finite, and strictly positive under a
         // Product local window, whose PSW takes logarithms. A bad weight
@@ -233,7 +237,7 @@ impl UsiIndex {
         // the permutation pass by a third.
         let product = local == usi_strings::LocalWindow::Product;
         let mut bad_weight = None;
-        let psw = LocalIndex::from_weights(
+        let psw = Locals::from_weights(
             le_f64s(&bytes[weights_off..sa_off]).map(|w| {
                 if w.is_finite() && !(product && w <= 0.0) {
                     return w;

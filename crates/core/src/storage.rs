@@ -17,9 +17,12 @@
 //! The payoff: [`crate::persist::open_mmap`] serves queries without
 //! copying the text, weights, suffix array or cached-substring table
 //! onto the heap, so cold-start time and resident memory scale with
-//! the number of corpora served rather than their total size (the `PSW`
-//! prefix sums are the one derived structure still computed on load:
-//! the format does not store them). [`crate::UsiIndex::read_from`]
+//! the number of corpora served rather than their total size. The `PSW`
+//! prefix sums are the one derived structure computed on load, since
+//! the format does not store them: one sum per 8 letters for a sum
+//! index (1 B/letter, where the weight section is 8), the dense sums of
+//! the logarithms for a product index. A query adds up the rest of a
+//! block from the weight section. [`crate::UsiIndex::read_from`]
 //! answers from the same view over [`IndexStorage::Owned`] bytes.
 
 use std::io;
@@ -376,7 +379,12 @@ impl IndexView {
 
     /// The weight section.
     pub fn weights(&self) -> WeightsRef<'_> {
-        WeightsRef::Bytes(&self.storage.bytes()[self.weights_off..self.weights_off + 8 * self.n])
+        WeightsRef::Bytes(self.weight_bytes())
+    }
+
+    /// The weight section's `8 · n` little-endian bytes.
+    pub(crate) fn weight_bytes(&self) -> &[u8] {
+        &self.storage.bytes()[self.weights_off..self.weights_off + 8 * self.n]
     }
 
     /// The suffix-array section.
@@ -466,8 +474,7 @@ mod tests {
     #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
     fn mmap_round_trips_file_bytes() {
-        let dir = std::env::temp_dir().join("usi-storage-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::temp_dir::TempDir::new("usi-storage-tests");
         let path = dir.join("map.bin");
         std::fs::write(&path, b"hello mapping").unwrap();
         let storage = IndexStorage::open(&path).unwrap();

@@ -7,15 +7,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::path::PathBuf;
+use temp_dir::TempDir;
 use usi_core::{PersistError, UsiBuilder, UsiIndex};
 use usi_strings::WeightedString;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("usi-persist-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+#[path = "../../ingest/tests/temp_dir/mod.rs"]
+mod temp_dir;
 
 fn build_index(seed: u64) -> (UsiIndex, WeightedString) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -30,7 +27,8 @@ fn build_index(seed: u64) -> (UsiIndex, WeightedString) {
 #[test]
 fn file_roundtrip_preserves_every_answer() {
     let (index, ws) = build_index(7);
-    let path = tmp("roundtrip.usix");
+    let dir = TempDir::new("usi-persist-roundtrip");
+    let path = dir.join("roundtrip.usix");
 
     let mut out = BufWriter::new(File::create(&path).unwrap());
     index.write_to(&mut out).unwrap();
@@ -179,7 +177,8 @@ fn file_roundtrip_twice_is_byte_identical() {
     // write → read → write must reproduce the file byte for byte: the
     // format has a single canonical encoding per index
     let (index, _) = build_index(13);
-    let path = tmp("stable.usix");
+    let dir = TempDir::new("usi-persist-stable");
+    let path = dir.join("stable.usix");
 
     let mut out = BufWriter::new(File::create(&path).unwrap());
     index.write_to(&mut out).unwrap();

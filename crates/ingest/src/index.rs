@@ -657,7 +657,9 @@ impl IngestIndex {
     /// Folds in every occurrence no component's index can see, in text
     /// order: those crossing a component boundary, found in a copy of
     /// the window around it, then those inside the unindexed tail,
-    /// found where its letters lie.
+    /// found where its letters lie. A scan of a non-empty tail counts
+    /// in `usi_ingest_tail_scans_total`, and its length in
+    /// `usi_ingest_tail_letters_scanned_total`.
     fn scan_boundaries(&self, pattern: &[u8]) -> UtilityAccumulator {
         let mut acc = UtilityAccumulator::new();
         let m = pattern.len();
@@ -693,7 +695,12 @@ impl IngestIndex {
             self.copy_region(lo, hi - lo + m, &mut text, &mut weights);
             add_occurrences(&text, &weights, pattern, local, &mut acc);
         }
-        add_occurrences(&self.tail_text, &self.tail_weights, pattern, local, &mut acc);
+        if !self.tail_text.is_empty() {
+            let metrics = crate::metrics::ingest();
+            metrics.tail_scans_total.inc();
+            metrics.tail_letters_scanned_total.add(self.tail_text.len() as u64);
+            add_occurrences(&self.tail_text, &self.tail_weights, pattern, local, &mut acc);
+        }
         acc
     }
 }

@@ -1,7 +1,7 @@
 //! Pre-registered telemetry handles for the ingestion path: WAL
-//! durability cost, seal/compaction build time, and the live segment
-//! count. Resolved once at first touch; the append hot path records
-//! through held handles only.
+//! durability cost, seal/compaction build time, the live segment
+//! count, and the queries that scan an unsealed tail. Resolved once at
+//! first touch; the append hot path records through held handles only.
 
 use std::sync::{Arc, OnceLock};
 use usi_obs::{default_latency_buckets, Counter, Gauge, Histogram};
@@ -21,6 +21,10 @@ pub(crate) struct IngestMetrics {
     /// Sealed segments currently live, summed across documents (moves
     /// by deltas: +1 per seal, `1 − fanout` per installed compaction).
     pub segments: Arc<Gauge>,
+    /// Queries that scanned a non-empty unsealed tail, and the tail
+    /// letters they scanned.
+    pub tail_scans_total: Arc<Counter>,
+    pub tail_letters_scanned_total: Arc<Counter>,
 }
 
 /// The process-global handle set, registered on first touch.
@@ -54,6 +58,14 @@ pub(crate) fn ingest() -> &'static IngestMetrics {
             segments: registry.gauge(
                 "usi_ingest_segments",
                 "Sealed segments currently live across all documents",
+            ),
+            tail_scans_total: registry.counter(
+                "usi_ingest_tail_scans_total",
+                "Queries that scanned a non-empty unsealed tail",
+            ),
+            tail_letters_scanned_total: registry.counter(
+                "usi_ingest_tail_letters_scanned_total",
+                "Unsealed tail letters scanned by queries",
             ),
         }
     })

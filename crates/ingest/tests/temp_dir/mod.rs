@@ -1,7 +1,8 @@
 //! Scratch directories for the ingest tests: one per process and
 //! label, so two checkouts testing at once never share files, removed
 //! when dropped. Shared by the crate's unit tests, its integration
-//! tests and the root package's `tests/ingest_e2e.rs`.
+//! tests, the root package's `tests/ingest_e2e.rs`, and `usi_core`'s
+//! storage unit tests and `tests/persist_file.rs`.
 
 #![allow(dead_code)] // each including test binary uses a different subset
 

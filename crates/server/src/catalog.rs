@@ -307,12 +307,37 @@ pub struct Doc {
     /// `usi_doc_queries_total{doc=<id>}`, resolved once at registration
     /// so the query path never touches the metric family lock.
     queries_total: Arc<usi_obs::Counter>,
+    /// `usi_query_source_total{doc=<id>,source=…}` for `hash_table` and
+    /// `text_index`, resolved the same way.
+    from_hash_table: Arc<usi_obs::Counter>,
+    from_text_index: Arc<usi_obs::Counter>,
 }
 
 impl Doc {
     fn new(id: String, backend: Backend, source: Option<ReloadSpec>) -> Self {
-        let queries_total = crate::metrics::server().doc_queries.with(&[&id]);
-        Self { id, backend, source, queries_total }
+        let metrics = crate::metrics::server();
+        let queries_total = metrics.doc_queries.with(&[&id]);
+        let from_hash_table = metrics.query_source.with(&[&id, "hash_table"]);
+        let from_text_index = metrics.query_source.with(&[&id, "text_index"]);
+        Self { id, backend, source, queries_total, from_hash_table, from_text_index }
+    }
+
+    /// Adds a batch's answer sources to `usi_query_source_total`, one
+    /// add per source.
+    fn count_sources(&self, sources: impl Iterator<Item = QuerySource>) {
+        let (mut hash_table, mut text_index) = (0, 0);
+        for source in sources {
+            match source {
+                QuerySource::HashTable => hash_table += 1,
+                QuerySource::TextIndex => text_index += 1,
+            }
+        }
+        if hash_table > 0 {
+            self.from_hash_table.add(hash_table);
+        }
+        if text_index > 0 {
+            self.from_text_index.add(text_index);
+        }
     }
 
     /// The document id (file stem for documents loaded from disk).
@@ -442,6 +467,7 @@ impl Doc {
         let answers = run_in_parts(patterns, query_parts(threads, patterns.len()), |part| {
             self.engine().query_batch(part)
         });
+        self.count_sources(answers.iter().map(|answer| answer.source));
         // the engine stage of the enclosing request's trace (a no-op
         // outside a request, where it lands in the global span ring)
         if usi_obs::enabled() {
@@ -458,15 +484,18 @@ impl Doc {
 
     /// Raw accumulators for a pattern batch, so fan-out callers can
     /// merge per-document occurrences before extracting aggregates.
-    /// The patterns count in `usi_doc_queries_total{doc}` like
-    /// [`Doc::query_batch`]'s, but no `engine` stage is recorded here:
-    /// a fan-out records one stage for all its documents.
+    /// The patterns count in `usi_doc_queries_total{doc}` and
+    /// `usi_query_source_total{doc,source}` like [`Doc::query_batch`]'s,
+    /// but no `engine` stage is recorded here: a fan-out records one
+    /// stage for all its documents.
     pub fn query_accumulator_batch(
         &self,
         patterns: &[&[u8]],
     ) -> Vec<(UtilityAccumulator, QuerySource)> {
         self.queries_total.add(patterns.len() as u64);
-        self.engine().query_accumulator_batch(patterns)
+        let answers = self.engine().query_accumulator_batch(patterns);
+        self.count_sources(answers.iter().map(|&(_, source)| source));
+        answers
     }
 }
 

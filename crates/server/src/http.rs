@@ -1238,7 +1238,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
-    use usi_core::UsiBuilder;
+    use usi_core::{QuerySource, UsiBuilder};
     use usi_strings::WeightedString;
 
     fn catalog() -> Catalog {
@@ -1551,6 +1551,31 @@ mod tests {
 
         assert_eq!(respond(&catalog, "POST", "/metrics", b"").status, 405);
         assert_eq!(respond(&catalog, "DELETE", "/v1/trace", b"").status, 405);
+    }
+
+    #[test]
+    fn query_sources_are_counted_per_document() {
+        // a document id no other test uses, so the counts are exact
+        let catalog = Catalog::new(2);
+        let ws = WeightedString::new(b"abracadabra_abracadabra".to_vec(), vec![1.0; 23]).unwrap();
+        let index = UsiBuilder::new().with_k(12).deterministic(42).build(ws);
+        assert_eq!(index.query(b"a").source, QuerySource::HashTable);
+        assert_eq!(index.query(b"abracadabra_").source, QuerySource::TextIndex);
+        catalog.insert("sources", index);
+
+        // one hit through a point query, one miss through a fan-out
+        let r = respond(&catalog, "POST", "/v1/query", br#"{"doc":"sources","patterns":["a"]}"#);
+        assert_eq!(r.status, 200);
+        let r =
+            respond(&catalog, "POST", "/v1/query", br#"{"doc":"*","patterns":["abracadabra_"]}"#);
+        assert_eq!(r.status, 200);
+
+        let r = respond(&catalog, "GET", "/metrics", b"");
+        assert!(r.body.contains("# TYPE usi_query_source_total counter"), "{}", r.body);
+        for source in ["hash_table", "text_index"] {
+            let series = format!(r#"usi_query_source_total{{doc="sources",source="{source}"}} 1"#);
+            assert!(r.body.lines().any(|line| line == series), "{series}\n{}", r.body);
+        }
     }
 
     #[test]

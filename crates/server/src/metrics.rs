@@ -4,9 +4,10 @@
 //! first touch: route × status counter and per-route latency tables are
 //! materialised up front so a request on the hot path never takes the
 //! registry or family lock — recording is a few relaxed atomic ops on
-//! handles this struct already holds. Per-document counters are the one
-//! dynamic family ([`ServerMetrics::doc_queries`]); a [`crate::Doc`]
-//! resolves its handle at registration time and keeps it.
+//! handles this struct already holds. Per-document counters are the
+//! dynamic families ([`ServerMetrics::doc_queries`],
+//! [`ServerMetrics::query_source`]); a [`crate::Doc`] resolves its
+//! handles at registration time and keeps them.
 
 use std::sync::{Arc, OnceLock};
 use usi_obs::{
@@ -54,6 +55,10 @@ pub(crate) struct ServerMetrics {
     /// `usi_doc_queries_total{doc}` — resolved per [`crate::Doc`] at
     /// registration, not per query.
     pub doc_queries: CounterVec,
+    /// `usi_query_source_total{doc,source}` — which path answered, `H`
+    /// (`hash_table`) or the text index (`text_index`); resolved per
+    /// [`crate::Doc`] like `doc_queries`.
+    pub query_source: CounterVec,
     pub query_batch_size: Arc<Histogram>,
     pub fan_out_width: Arc<Histogram>,
     /// `usi_catalog_reloads_total` — successful live `.usix` reloads.
@@ -111,6 +116,11 @@ impl ServerMetrics {
                 "usi_doc_queries_total",
                 "Patterns answered, by document",
                 &["doc"],
+            ),
+            query_source: registry.counter_vec(
+                "usi_query_source_total",
+                "Patterns answered, by document and by the path that answered",
+                &["doc", "source"],
             ),
             query_batch_size: registry.histogram(
                 "usi_query_batch_size",

@@ -4,6 +4,13 @@
 //! property of the windowed-sum local utility, the local utility of any
 //! fragment is a difference of two prefix sums:
 //! `u(i, ℓ) = PSW[i+ℓ−1] − PSW[i−1]`.
+//!
+//! [`Psw`] and [`LocalIndex`] keep the dense array, one `f64` per
+//! letter: construction reads it (phase (ii)), and so do the baselines.
+//! A built or loaded `usi_core::UsiIndex` keeps only every 8th sum of a
+//! sum index ([`LocalIndex::prefix_sums`]) and adds up the rest of a
+//! block on demand, in this array's order, so its values are the same
+//! bits.
 
 use crate::HeapSize;
 
@@ -170,6 +177,14 @@ impl LocalIndex {
     /// Whether the weight array was empty.
     pub fn is_empty(&self) -> bool {
         self.psw.is_empty()
+    }
+
+    /// The `n + 1` prefix sums `PSW[0] = 0, …, PSW[n]`: of the weights
+    /// for sums, of their logarithms for products. An index that keeps
+    /// only some of them (`usi_core` samples every 8th) takes them from
+    /// here, so its samples are these very values.
+    pub fn prefix_sums(&self) -> &[f64] {
+        &self.psw.sums
     }
 
     /// Local utility `u(i, len)` of the fragment starting at `i`, in

@@ -106,7 +106,8 @@ fn index_size_reports_are_complete() {
     assert_eq!(size.text, 5_000);
     assert_eq!(size.weights, 5_000 * 8);
     assert!(size.suffix_array >= 5_000 * 4);
-    assert!(size.psw >= 5_000 * 8);
+    // one f64 prefix-sum sample per 8 letters, PSW[0] included
+    assert_eq!(size.psw, (5_000 / 8 + 1) * 8);
     assert!(size.hash_table > 0);
     assert_eq!(
         size.total(),
